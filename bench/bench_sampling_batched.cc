@@ -8,9 +8,11 @@
 //   batched         — SampleWeightedBatch, scalar kernels, no prefetch:
 //                     one sorted root→leaf sweep amortises the descent
 //   batched_simd    — same sweep with the AVX2 compare+movemask kernels
-//   batched_simd_arena_prefetch
-//                   — arena-built trees (contiguous nodes) + next-level
-//                     software prefetch on top of the SIMD sweep
+//   batched_simd_prefetch
+//                   — next-level software prefetch on top of the SIMD
+//                     sweep
+//
+// Every variant runs on the same set of trees.
 //
 // All four produce bit-identical samples under the same seed (asserted in
 // tests/test_sampling_batched.cc); this binary measures only throughput,
@@ -25,7 +27,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/memory.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "core/samtree.h"
@@ -53,10 +54,8 @@ std::vector<std::size_t> DegreeMix(const std::string& mix,
   return degrees;
 }
 
-std::vector<Samtree> BuildTrees(const std::vector<std::size_t>& degrees,
-                                NodeArena* arena) {
+std::vector<Samtree> BuildTrees(const std::vector<std::size_t>& degrees) {
   SamtreeConfig cfg;  // paper defaults: capacity 256, CP-IDs on
-  cfg.arena = arena;
   Xoshiro256 rng(4242);
   std::vector<Samtree> trees;
   trees.reserve(degrees.size());
@@ -128,16 +127,12 @@ int main() {
 
   for (const std::string mix : {"zipf", "uniform"}) {
     const std::vector<std::size_t> degrees = DegreeMix(mix, num_trees);
-
-    // The arena must outlive its trees: declared first, destroyed last.
-    NodeArena arena;
-    const std::vector<Samtree> heap_trees = BuildTrees(degrees, nullptr);
-    const std::vector<Samtree> arena_trees = BuildTrees(degrees, &arena);
+    const std::vector<Samtree> trees = BuildTrees(degrees);
 
     std::printf("\n--- %s degree mix: %zu trees, weighted k-draws ---\n",
                 mix.c_str(), num_trees);
-    std::printf("%-6s %12s %12s %12s %16s %10s\n", "k", "per_draw",
-                "batched", "+simd", "+arena+prefetch", "best");
+    std::printf("%-6s %12s %12s %12s %12s %10s\n", "k", "per_draw",
+                "batched", "+simd", "+prefetch", "best");
     PrintRule();
 
     for (std::size_t k : ks) {
@@ -146,20 +141,20 @@ int main() {
 
       // Baseline: independent per-draw descents (dispatch irrelevant —
       // the one-at-a-time path has no vector kernels).
-      const double base_ms = MeasureWeighted(heap_trees, k, rounds, false);
+      const double base_ms = MeasureWeighted(trees, k, rounds, false);
 
       simd::SetAvx2EnabledForTest(false);
       simd::SetPrefetchEnabled(false);
-      const double batched_ms = MeasureWeighted(heap_trees, k, rounds, true);
+      const double batched_ms = MeasureWeighted(trees, k, rounds, true);
 
       simd::SetAvx2EnabledForTest(true);  // clamped scalar w/o AVX2
-      const double simd_ms = MeasureWeighted(heap_trees, k, rounds, true);
+      const double simd_ms = MeasureWeighted(trees, k, rounds, true);
 
       simd::SetPrefetchEnabled(true);
-      const double full_ms = MeasureWeighted(arena_trees, k, rounds, true);
+      const double full_ms = MeasureWeighted(trees, k, rounds, true);
 
       const double best = std::min({batched_ms, simd_ms, full_ms});
-      std::printf("%-6zu %10.2fms %10.2fms %10.2fms %14.2fms %9.2fx\n", k,
+      std::printf("%-6zu %10.2fms %10.2fms %10.2fms %10.2fms %9.2fx\n", k,
                   base_ms, batched_ms, simd_ms, full_ms, base_ms / best);
 
       json.Rec()
@@ -170,7 +165,7 @@ int main() {
           .Num("per_draw_ms", base_ms)
           .Num("batched_ms", batched_ms)
           .Num("batched_simd_ms", simd_ms)
-          .Num("batched_simd_arena_prefetch_ms", full_ms)
+          .Num("batched_simd_prefetch_ms", full_ms)
           .Num("per_draw_ns_per_draw", base_ms * 1e6 / draws)
           .Num("best_ns_per_draw", best * 1e6 / draws)
           .Num("speedup_batched", base_ms / batched_ms)
@@ -183,7 +178,7 @@ int main() {
         accept_ok = false;
         std::fprintf(stderr,
                      "ACCEPTANCE MISS: %s k=%zu batched+SIMD %.2fx, "
-                     "+arena+prefetch %.2fx (< 1.5x per-draw)\n",
+                     "+prefetch %.2fx (< 1.5x per-draw)\n",
                      mix.c_str(), k, base_ms / simd_ms, base_ms / full_ms);
       }
     }
@@ -193,8 +188,8 @@ int main() {
                 "speedup");
     PrintRule();
     for (std::size_t k : ks) {
-      const double base_ms = MeasureUniform(heap_trees, k, rounds, false);
-      const double batched_ms = MeasureUniform(arena_trees, k, rounds, true);
+      const double base_ms = MeasureUniform(trees, k, rounds, false);
+      const double batched_ms = MeasureUniform(trees, k, rounds, true);
       std::printf("%-6zu %10.2fms %10.2fms %9.2fx\n", k, base_ms, batched_ms,
                   base_ms / batched_ms);
       json.Rec()

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <set>
 #include <sstream>
 
@@ -23,9 +22,6 @@ struct Samtree::Node {
   explicit Node(bool leaf) : is_leaf(leaf) {}
   virtual ~Node() = default;
   const bool is_leaf;
-  // Where this node's storage came from (nullptr = heap). NodeDeleter
-  // reads it back on destruction, so trees can mix heap and arena nodes.
-  NodeArena* arena = nullptr;
 };
 
 struct Samtree::LeafNode : Samtree::Node {
@@ -52,47 +48,12 @@ struct Samtree::InternalNode : Samtree::Node {
   std::vector<NodePtr> children;
 };
 
-void Samtree::NodeDeleter::operator()(Node* n) const {
-  if (n == nullptr) return;
-  NodeArena* arena = n->arena;
-  if (arena == nullptr) {
-    delete n;  // pd2gl-lint: allow-naked-new (heap half of the arena deleter)
-    return;
-  }
-  const std::size_t bytes =
-      n->is_leaf ? sizeof(LeafNode) : sizeof(InternalNode);
-  n->~Node();  // virtual: destroys the derived node
-  arena->Deallocate(n, bytes);
-}
+// Per-node helpers ----------------------------------------------------------
 
 namespace {
 
 using LeafNode = Samtree::LeafNode;
 using InternalNode = Samtree::InternalNode;
-
-/// Construct a node on the configured arena (heap when arena == nullptr)
-/// and stamp its origin for NodeDeleter. Converts implicitly to NodePtr.
-template <typename T, typename... Args>
-std::unique_ptr<T, Samtree::NodeDeleter> AllocNode(NodeArena* arena,
-                                                   Args&&... args) {
-  static_assert(alignof(T) <= NodeArena::kAlignment,
-                "samtree nodes must fit the arena alignment");
-  T* n = nullptr;
-  if (arena != nullptr) {
-    void* mem = arena->Allocate(sizeof(T));
-    n = new (mem) T(std::forward<Args>(args)...);  // pd2gl-lint: allow-naked-new
-  } else {
-    n = new T(std::forward<Args>(args)...);  // pd2gl-lint: allow-naked-new
-  }
-  n->arena = arena;
-  return std::unique_ptr<T, Samtree::NodeDeleter>(n);
-}
-
-}  // namespace
-
-// Per-node helpers ----------------------------------------------------------
-
-namespace {
 
 std::size_t NodeEntryCount(const Samtree::Node* n);
 Weight NodeTotalWeight(const Samtree::Node* n);
@@ -238,9 +199,6 @@ Samtree Samtree::BulkBuild(std::vector<std::pair<VertexId, Weight>> neighbors,
 
   // Pack leaves: ceil(n / capacity) even chunks keeps every leaf within
   // [capacity/2, capacity] (Definition 1) while staying one pass.
-  // With an arena configured, the left-to-right, level-by-level
-  // allocation order below is what makes descents stride contiguous
-  // memory instead of the heap.
   std::vector<NodePtr> level;
   std::vector<VertexId> level_mins;
   const std::size_t num_leaves = (n + capacity - 1) / capacity;
@@ -249,8 +207,7 @@ Samtree Samtree::BulkBuild(std::vector<std::pair<VertexId, Weight>> neighbors,
     const std::size_t remaining_leaves = num_leaves - leaf_idx;
     const std::size_t take =
         (n - cursor + remaining_leaves - 1) / remaining_leaves;
-    auto leaf =
-        AllocNode<LeafNode>(tree.config_.arena, tree.config_.compress_ids);
+    auto leaf = std::make_unique<LeafNode>(tree.config_.compress_ids);
     std::vector<VertexId> ids;
     std::vector<Weight> weights;
     ids.reserve(take);
@@ -274,8 +231,7 @@ Samtree Samtree::BulkBuild(std::vector<std::pair<VertexId, Weight>> neighbors,
     for (std::size_t p = 0; p < num_parents; ++p) {
       const std::size_t remaining = num_parents - p;
       const std::size_t take = (m - child + remaining - 1) / remaining;
-      auto node = AllocNode<InternalNode>(tree.config_.arena,
-                                          tree.config_.compress_ids);
+      auto node = std::make_unique<InternalNode>(tree.config_.compress_ids);
       parent_mins.push_back(level_mins[child]);
       for (std::size_t i = 0; i < take; ++i, ++child) {
         node->min_ids.Append(level_mins[child]);
@@ -322,7 +278,7 @@ Samtree::NodePtr Samtree::SplitLeaf(LeafNode* leaf, VertexId* sibling_min) {
   weights.resize(pivot);
 
   leaf->Assign(ids, weights, config_.compress_ids);
-  auto sibling = AllocNode<LeafNode>(config_.arena, config_.compress_ids);
+  auto sibling = std::make_unique<LeafNode>(config_.compress_ids);
   sibling->Assign(right_ids, right_weights, config_.compress_ids);
   *sibling_min = right_ids.front();
 
@@ -336,7 +292,7 @@ Samtree::NodePtr Samtree::SplitInternal(InternalNode* node,
   // Internal entries are ordered, so the split is an exact median cut
   // (Section IV-C, "our method is much simpler").
   const std::size_t mid = node->children.size() / 2;
-  auto sibling = AllocNode<InternalNode>(config_.arena, config_.compress_ids);
+  auto sibling = std::make_unique<InternalNode>(config_.compress_ids);
   *sibling_min = node->min_ids.Get(mid);
 
   for (std::size_t i = mid; i < node->children.size(); ++i) {
@@ -444,7 +400,7 @@ void Samtree::InsertUnchecked(VertexId v, Weight w) {
 void Samtree::InsertImpl(VertexId v, Weight w, bool check_existing) {
   BumpVersion();
   if (!root_) {
-    auto leaf = AllocNode<LeafNode>(config_.arena, config_.compress_ids);
+    auto leaf = std::make_unique<LeafNode>(config_.compress_ids);
     leaf->ids.Append(v);
     leaf->fstable.Append(w);
     root_ = std::move(leaf);
@@ -457,7 +413,7 @@ void Samtree::InsertImpl(VertexId v, Weight w, bool check_existing) {
   if (out.inserted) ++count_;
   if (out.sibling) {
     // Grow a new root above the split (the only way a samtree gains height).
-    auto new_root = AllocNode<InternalNode>(config_.arena, config_.compress_ids);
+    auto new_root = std::make_unique<InternalNode>(config_.compress_ids);
     new_root->min_ids.Append(NodeMinId(root_.get()));
     new_root->min_ids.Append(out.sibling_min);
     new_root->children.push_back(std::move(root_));

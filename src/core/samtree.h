@@ -45,15 +45,6 @@ struct SamtreeConfig {
   std::uint32_t node_capacity = 256;  ///< c in the paper
   std::uint32_t alpha = 0;            ///< α-Split slackness
   bool compress_ids = true;           ///< CP-IDs compression (Section VI-A)
-
-  /// Optional shard-local node arena (docs/sampling_simd.md). When set,
-  /// every node this tree allocates from now on is carved out of the
-  /// arena in allocation order — contiguous for BulkBuild — instead of
-  /// individually heap-allocated. Each node remembers its origin, so a
-  /// tree may legally hold a mix of heap and arena nodes (e.g. after
-  /// InstallTree moves a heap-built tree into an arena-owning store).
-  /// The arena must outlive every tree configured with it.
-  NodeArena* arena = nullptr;
 };
 
 /// Ways Samtree::CorruptForTest can deliberately damage a tree so the
@@ -83,14 +74,7 @@ class Samtree {
   struct Node;
   struct LeafNode;
   struct InternalNode;
-
-  /// Deleter that returns a node to the arena it was carved from (plain
-  /// `delete` for heap nodes) — each node records its origin, so trees
-  /// can mix the two freely.
-  struct NodeDeleter {
-    void operator()(Node* n) const;
-  };
-  using NodePtr = std::unique_ptr<Node, NodeDeleter>;
+  using NodePtr = std::unique_ptr<Node>;  // Node has a virtual destructor
 
   explicit Samtree(SamtreeConfig config = {});
   ~Samtree();
@@ -234,13 +218,6 @@ class Samtree {
   void ResetStats() { stats_ = {}; }
 
   const SamtreeConfig& config() const { return config_; }
-
-  /// Redirect *future* node allocations to `arena` (nullptr = heap).
-  /// Existing nodes keep their origin — NodeDeleter routes each one back
-  /// correctly — so this is safe on a live tree. TopologyStore calls it
-  /// when InstallTree adopts an externally-built tree, so splits after
-  /// adoption land in the shard arena.
-  void SetArena(NodeArena* arena) { config_.arena = arena; }
 
   /// Verify every Definition-1 / ordering / aggregation invariant:
   /// node-capacity and fill bounds, uniform leaf depth, routing-ID order
