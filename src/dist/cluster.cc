@@ -16,6 +16,16 @@ namespace {
 /// Retries re-derive the same stream, so fault runs sample identically to
 /// fault-free runs (tested in test_fault_tolerance.cc).
 constexpr std::uint64_t kShardSeedSalt = 0xD1B54A32D192ED03ULL;
+
+/// Request bytes of a sample, traverse or gather RPC: one SampleRequest
+/// per item group bundled into it (gather ships ids as seeds).
+constexpr auto kSampleRequestsBytes = [](const auto& on_shard) {
+  std::size_t bytes = 0;
+  for (const auto& grp : on_shard) {
+    bytes += wire::SampleRequestBytes(grp.positions.size());
+  }
+  return bytes;
+};
 }  // namespace
 
 GraphCluster::GraphCluster(ClusterConfig config)
@@ -217,20 +227,74 @@ GraphCluster::RpcOutcome GraphCluster::RunRpc(std::size_t s, Body&& body) {
   return out;
 }
 
+template <typename Size, typename Key>
+GraphCluster::ShardGroups GraphCluster::GroupByShard(std::size_t num_items,
+                                                     Size&& size,
+                                                     Key&& key) const {
+  ShardGroups groups(shards_.size());
+  for (std::size_t w = 0; w < num_items; ++w) {
+    const std::size_t n = size(w);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Items go in order: item w's group on a shard is its last, if any.
+      std::vector<ShardGroup>& on_shard =
+          groups[partitioner_.ShardOf(key(w, i))];
+      if (on_shard.empty() || on_shard.back().item != w) {
+        on_shard.push_back(ShardGroup{w, {}});
+      }
+      on_shard.back().positions.push_back(i);
+    }
+  }
+  return groups;
+}
+
+template <typename Call, typename RequestBytes>
+GraphCluster::Round GraphCluster::RunRound(
+    const ShardGroups& groups, Call&& call, RequestBytes&& request_bytes,
+    const std::vector<obs::Counter*>* load) {
+  Round round;
+  round.outcomes.resize(shards_.size());
+  std::vector<std::size_t> touched;
+  for (std::size_t s = 0; s < groups.size(); ++s) {
+    if (!groups[s].empty()) touched.push_back(s);
+  }
+  // Fan out: one logical RPC (with retries) per touched shard, in parallel.
+  pool_.ParallelFor(touched.size(), [&](std::size_t t) {
+    const std::size_t s = touched[t];
+    round.outcomes[s] = call(s, groups[s]);
+  });
+  // Merge, serially.
+  for (const std::size_t s : touched) {
+    const RpcOutcome& out = round.outcomes[s];
+    counters_.rpcs->Add(out.attempts);
+    counters_.virtual_network_us->Add(out.virtual_us);
+    counters_.retries->Add(out.attempts - 1);
+    counters_.transient_faults->Add(out.transient_faults);
+    counters_.corrupt_responses->Add(out.corrupt);
+    counters_.crash_rejections->Add(out.crash_rejections);
+    if (out.deadline_hit) counters_.deadline_hits->Add();
+    counters_.bytes_sent->Add(out.attempts * request_bytes(groups[s]));
+    counters_.bytes_received->Add(out.resp_bytes);
+    if (load != nullptr) {
+      std::size_t keys = 0;
+      for (const ShardGroup& grp : groups[s]) keys += grp.positions.size();
+      (*load)[s]->Add(keys);
+    }
+    round.virtual_us = std::max(round.virtual_us, out.virtual_us);
+  }
+  return round;
+}
+
 GraphCluster::RpcOutcome GraphCluster::DeliverUpdates(
-    std::size_t s, const std::vector<EdgeUpdate>& group) {
+    std::size_t s, const std::vector<EdgeUpdate>& batch,
+    const std::vector<std::size_t>& positions) {
   if (injector_.IsCrashed(s)) {
     // Hinted handoff: the durable log service outlives the serving
     // process (GNNFlow-style — the update log is the recovery substrate).
     // Write the updates straight to the shard's WAL; RecoverShard replays
-    // them. One virtual RPC to the log.
-    RpcOutcome out;
-    out.attempts = 1;
-    out.virtual_us = config_.rpc_latency_us;
-    for (const EdgeUpdate& u : group) shards_[s]->Apply(u);
-    out.delivered = true;
-    out.resp_bytes = 1;  // ack
-    return out;
+    // them. One virtual RPC to the log, acked.
+    for (std::size_t pos : positions) shards_[s]->Apply(batch[pos]);
+    return RpcOutcome{.delivered = true, .handoff = true, .attempts = 1,
+                      .virtual_us = config_.rpc_latency_us, .resp_bytes = 1};
   }
   return RunRpc(s, [&](bool corrupt, RpcOutcome& out) {
     if (corrupt) {
@@ -240,70 +304,42 @@ GraphCluster::RpcOutcome GraphCluster::DeliverUpdates(
       return false;
     }
     Timer rpc;
-    for (const EdgeUpdate& u : group) shards_[s]->Apply(u);
+    for (std::size_t pos : positions) shards_[s]->Apply(batch[pos]);
     rpc_latency_.RecordMicros(rpc.ElapsedMicros());
     out.resp_bytes += 1;  // ack
     return true;
   });
 }
 
-void GraphCluster::MergeOutcome(const RpcOutcome& out) {
-  counters_.rpcs->Add(out.attempts);
-  counters_.virtual_network_us->Add(out.virtual_us);
-  counters_.retries->Add(out.attempts - 1);
-  counters_.transient_faults->Add(out.transient_faults);
-  counters_.corrupt_responses->Add(out.corrupt);
-  counters_.crash_rejections->Add(out.crash_rejections);
-  if (out.deadline_hit) counters_.deadline_hits->Add();
-}
-
 Status GraphCluster::Apply(const EdgeUpdate& update) {
-  const std::size_t s = partitioner_.ShardOf(update.edge.src);
-  const bool handoff = injector_.IsCrashed(s);
-  const RpcOutcome out = DeliverUpdates(s, {update});
-  MergeOutcome(out);
-  // UpdateBatch wire size (dist/wire.h): tag + count + 29 B per update.
-  counters_.bytes_sent->Add(out.attempts * (5 + 29));
-  counters_.bytes_received->Add(out.resp_bytes);
-  if (handoff) counters_.wal_handoffs->Add();
-  PumpReplication();
-  if (!out.delivered) {
-    counters_.lost_updates->Add();
-    return Status::DeadlineExceeded("update lost: shard " +
-                                    std::to_string(s) +
-                                    " unreachable past the retry budget");
-  }
-  return Status::Ok();
+  return ApplyBatch({update});
 }
 
 Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
-  std::vector<std::vector<EdgeUpdate>> per_shard(shards_.size());
-  for (const EdgeUpdate& u : batch) {
-    per_shard[partitioner_.ShardOf(u.edge.src)].push_back(u);
-  }
-  std::vector<RpcOutcome> outcomes(shards_.size());
-  std::vector<std::uint8_t> handoff(shards_.size(), 0);
-  pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
-    if (per_shard[s].empty()) return;
-    handoff[s] = injector_.IsCrashed(s) ? 1 : 0;
-    outcomes[s] = DeliverUpdates(s, per_shard[s]);
-  });
+  const ShardGroups groups = GroupByShard(
+      1, [&](std::size_t) { return batch.size(); },
+      [&](std::size_t, std::size_t i) { return batch[i].edge.src; });
+  const Round round = RunRound(
+      groups,
+      [&](std::size_t s, const std::vector<ShardGroup>& on_shard) {
+        return DeliverUpdates(s, batch, on_shard[0].positions);
+      },
+      [](const std::vector<ShardGroup>& on_shard) {
+        return wire::UpdateBatchBytes(on_shard[0].positions.size());
+      },
+      nullptr);
   Status result = Status::Ok();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const auto& group = per_shard[s];
-    if (group.empty()) continue;
-    const RpcOutcome& out = outcomes[s];
-    MergeOutcome(out);
-    // UpdateBatch wire size (dist/wire.h): tag + count + 29 B per update.
-    counters_.bytes_sent->Add(out.attempts * (5 + group.size() * 29));
-    counters_.bytes_received->Add(out.resp_bytes);
-    if (handoff[s]) counters_.wal_handoffs->Add(group.size());
+  for (std::size_t s = 0; s < groups.size(); ++s) {
+    if (groups[s].empty()) continue;
+    const std::size_t n = groups[s][0].positions.size();
+    const RpcOutcome& out = round.outcomes[s];
+    if (out.handoff) counters_.wal_handoffs->Add(n);
     if (!out.delivered) {
-      counters_.lost_updates->Add(group.size());
+      counters_.lost_updates->Add(n);
       if (result.ok()) {
         result = Status::DeadlineExceeded(
-            std::to_string(group.size()) + " updates lost: shard " +
-            std::to_string(s) + " unreachable past the retry budget");
+            std::to_string(n) + " updates lost: shard " + std::to_string(s) +
+            " unreachable past the retry budget");
       }
     }
   }
@@ -311,147 +347,99 @@ Status GraphCluster::ApplyBatch(const std::vector<EdgeUpdate>& batch) {
   return result;
 }
 
-template <typename Fill, typename Fallback>
-MultiSampleReport GraphCluster::NeighborRound(
-    const std::vector<const std::vector<VertexId>*>& item_seeds, Fill&& fill,
-    Fallback&& fallback) {
+template <typename Work, typename Fill, typename Fallback>
+MultiSampleReport GraphCluster::NeighborRound(const std::vector<Work>& work,
+                                              Fill&& fill,
+                                              Fallback&& fallback) {
   MultiSampleReport multi;
-  multi.reports.resize(item_seeds.size());
-  if (item_seeds.empty()) return multi;
+  multi.reports.resize(work.size());
+  if (work.empty()) return multi;
 
-  // Group each item's seed positions by owning shard:
-  // shard_groups[s] = [(item, positions-in-item), ...] in item order.
-  struct ShardGroup {
-    std::size_t item;
-    std::vector<std::size_t> positions;
-  };
-  std::vector<std::vector<ShardGroup>> shard_groups(shards_.size());
-  for (std::size_t w = 0; w < item_seeds.size(); ++w) {
-    const std::vector<VertexId>& seeds = *item_seeds[w];
-    std::vector<std::vector<std::size_t>> by_shard(shards_.size());
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      by_shard[partitioner_.ShardOf(seeds[i])].push_back(i);
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!by_shard[s].empty()) {
-        shard_groups[s].push_back(ShardGroup{w, std::move(by_shard[s])});
-      }
-    }
+  // results[w][i] = range for (*work[w].seeds)[i].
+  std::vector<std::vector<std::vector<VertexId>>> results(work.size());
+  for (std::size_t w = 0; w < work.size(); ++w) {
+    results[w].resize(work[w].seeds->size());
+    multi.reports[w].seed_status.assign(work[w].seeds->size(), SeedStatus::kOk);
   }
-
-  // One parallel logical RPC (with retries) per touched shard, carrying
-  // every item's seeds for that shard.
-  std::vector<std::vector<std::vector<VertexId>>> results(item_seeds.size());
-  for (std::size_t w = 0; w < item_seeds.size(); ++w) {
-    results[w].resize(item_seeds[w]->size());
-  }
-  std::vector<RpcOutcome> outcomes(shards_.size());
-  pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
-    const std::vector<ShardGroup>& groups = shard_groups[s];
-    if (groups.empty()) return;
-    outcomes[s] = RunRpc(s, [&](bool corrupt, RpcOutcome& out) {
-      Timer rpc;
-      // local[g][i] = range for groups[g].positions[i]. `fill` re-derives
-      // any RNG state per item per attempt, so a retry replays the exact
-      // draw sequence and batching never perturbs an item's stream.
-      std::vector<std::vector<std::vector<VertexId>>> local(groups.size());
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        local[g].resize(groups[g].positions.size());
-        fill(s, groups[g].item, groups[g].positions, &local[g]);
-      }
-      rpc_latency_.RecordMicros(rpc.ElapsedMicros());
-      if (corrupt) {
-        // Ship the response through the real codec, damage it in flight,
-        // and let the hardened decoder judge it (docs/fault_tolerance.md).
-        NeighborBatch resp;
-        resp.offsets.push_back(0);
-        std::size_t total_ranges = 0;
-        for (const auto& item_local : local) {
-          for (const auto& r : item_local) {
-            resp.neighbors.insert(resp.neighbors.end(), r.begin(), r.end());
-            resp.offsets.push_back(resp.neighbors.size());
-            ++total_ranges;
+  const ShardGroups groups = GroupByShard(
+      work.size(), [&](std::size_t w) { return work[w].seeds->size(); },
+      [&](std::size_t w, std::size_t i) { return (*work[w].seeds)[i]; });
+  const Round round = RunRound(
+      groups,
+      [&](std::size_t s, const std::vector<ShardGroup>& on_shard) {
+        return RunRpc(s, [&](bool corrupt, RpcOutcome& out) {
+          Timer rpc;
+          // local[g][i] = range for on_shard[g].positions[i]. `fill`
+          // re-derives any RNG state per item per attempt, so a retry
+          // replays the exact draw sequence and batching never perturbs
+          // an item's stream.
+          std::vector<std::vector<std::vector<VertexId>>> local(
+              on_shard.size());
+          for (std::size_t g = 0; g < on_shard.size(); ++g) {
+            local[g].resize(on_shard[g].positions.size());
+            fill(s, work[on_shard[g].item], on_shard[g].positions, &local[g]);
           }
-        }
-        std::string bytes = wire::EncodeSampleResponse(resp);
-        out.resp_bytes += bytes.size();  // shipped before the damage
-        injector_.CorruptBytes(s, &bytes);
-        NeighborBatch decoded;
-        if (!wire::DecodeSampleResponse(bytes, &decoded) ||
-            decoded.NumSeeds() != total_ranges) {
-          return false;  // rejected by the codec; RunRpc retries
-        }
-        // Structurally valid despite the damage — accept what decoded.
-        // (CorruptBytes guarantees structural damage, so this is a
-        // belt-and-braces path, not an expected one.)
-        std::size_t k = 0;
-        for (const ShardGroup& grp : groups) {
-          for (std::size_t pos : grp.positions) {
-            results[grp.item][pos].assign(
-                decoded.neighbors.begin() +
-                    static_cast<std::ptrdiff_t>(decoded.offsets[k]),
-                decoded.neighbors.begin() +
-                    static_cast<std::ptrdiff_t>(decoded.offsets[k + 1]));
-            ++k;
+          rpc_latency_.RecordMicros(rpc.ElapsedMicros());
+          // One SampleResponse per item group bundled into the RPC, shipped
+          // whether or not it is damaged on the way.
+          for (const auto& item_local : local) {
+            std::size_t neighbors = 0;
+            for (const auto& r : item_local) neighbors += r.size();
+            out.resp_bytes +=
+                wire::SampleResponseBytes(item_local.size(), neighbors);
           }
-        }
-        return true;
-      }
-      // One logical SampleResponse per item bundled into the RPC:
-      // header + per seed (4 B len + 8 B each).
-      std::uint64_t resp = 0;
-      for (const auto& item_local : local) {
-        resp += 5;
-        for (const auto& r : item_local) resp += 4 + r.size() * sizeof(VertexId);
-      }
-      out.resp_bytes += resp;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const ShardGroup& grp = groups[g];
-        for (std::size_t i = 0; i < grp.positions.size(); ++i) {
-          results[grp.item][grp.positions[i]] = std::move(local[g][i]);
-        }
-      }
-      return true;
-    });
-  });
+          if (corrupt) {
+            // Ship the response through the real codec, damage it in
+            // flight, and let the hardened decoder judge it
+            // (docs/fault_tolerance.md): only a decode equal to what the
+            // shard sent is accepted; anything else is retried.
+            NeighborBatch sent;
+            sent.offsets.push_back(0);
+            for (const auto& item_local : local) {
+              for (const auto& r : item_local) {
+                sent.neighbors.insert(sent.neighbors.end(), r.begin(),
+                                      r.end());
+                sent.offsets.push_back(sent.neighbors.size());
+              }
+            }
+            std::string bytes = wire::EncodeSampleResponse(sent);
+            injector_.CorruptBytes(s, &bytes);
+            NeighborBatch decoded;
+            if (wire::DecodeSampleResponse(bytes, &decoded) !=
+                    wire::DecodeResult::kOk ||
+                decoded.offsets != sent.offsets ||
+                decoded.neighbors != sent.neighbors) {
+              return false;
+            }
+          }
+          for (std::size_t g = 0; g < on_shard.size(); ++g) {
+            const ShardGroup& grp = on_shard[g];
+            for (std::size_t i = 0; i < grp.positions.size(); ++i) {
+              results[grp.item][grp.positions[i]] = std::move(local[g][i]);
+            }
+          }
+          return true;
+        });
+      },
+      kSampleRequestsBytes, &shard_seed_counters_);
+  multi.round_virtual_us = round.virtual_us;
 
-  for (std::size_t w = 0; w < item_seeds.size(); ++w) {
-    multi.reports[w].seed_status.assign(item_seeds[w]->size(),
-                                        SeedStatus::kOk);
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<ShardGroup>& groups = shard_groups[s];
-    if (groups.empty()) continue;
-    const RpcOutcome& out = outcomes[s];
-    MergeOutcome(out);
-    // One logical SampleRequest per item bundled into the RPC (dist/wire.h
-    // layout): header + 8 B per seed.
-    std::size_t shard_seeds = 0;
-    for (const ShardGroup& grp : groups) shard_seeds += grp.positions.size();
-    counters_.bytes_sent->Add(
-        out.attempts * (14 * groups.size() + shard_seeds * sizeof(VertexId)));
-    shard_seed_counters_[s]->Add(shard_seeds);
-    counters_.bytes_received->Add(out.resp_bytes);
-    // The round's virtual wall time is the slowest of the parallel RPCs.
-    multi.round_virtual_us = std::max(multi.round_virtual_us, out.virtual_us);
-    if (!out.delivered) {
-      for (const ShardGroup& grp : groups) {
-        SampleReport& report = multi.reports[grp.item];
-        if (fallback(s, grp.item, grp.positions, &results[grp.item],
-                     &report)) {
-          continue;
-        }
-        // Degrade this item's seeds on this shard: empty ranges, flagged.
-        for (std::size_t pos : grp.positions) {
-          results[grp.item][pos].clear();
-          report.seed_status[pos] = SeedStatus::kDegraded;
-        }
-        report.degraded_seeds += grp.positions.size();
+  for (std::size_t s = 0; s < groups.size(); ++s) {
+    if (groups[s].empty() || round.outcomes[s].delivered) continue;
+    for (const ShardGroup& grp : groups[s]) {
+      SampleReport& report = multi.reports[grp.item];
+      if (fallback(s, work[grp.item], grp.positions, &results[grp.item],
+                   &report)) {
+        continue;
       }
+      // Degrade this item's seeds on this shard: empty ranges, flagged.
+      for (std::size_t pos : grp.positions) {
+        results[grp.item][pos].clear();
+        report.seed_status[pos] = SeedStatus::kDegraded;
+      }
+      report.degraded_seeds += grp.positions.size();
+      counters_.degraded_seeds->Add(grp.positions.size());
     }
-  }
-  for (const SampleReport& r : multi.reports) {
-    counters_.degraded_seeds->Add(r.degraded_seeds);
   }
   // Sampling ships nothing new, but its virtual-time cost does age
   // suspicions — the health monitor runs so a dead primary eventually
@@ -459,9 +447,9 @@ MultiSampleReport GraphCluster::NeighborRound(
   ReplicationHealthCheck();
 
   // Re-assemble each item in seed order.
-  for (std::size_t w = 0; w < item_seeds.size(); ++w) {
+  for (std::size_t w = 0; w < work.size(); ++w) {
     SampleReport& report = multi.reports[w];
-    report.batch.offsets.reserve(item_seeds[w]->size() + 1);
+    report.batch.offsets.reserve(work[w].seeds->size() + 1);
     report.batch.offsets.push_back(0);
     for (const auto& r : results[w]) {
       report.batch.neighbors.insert(report.batch.neighbors.end(), r.begin(),
@@ -474,15 +462,11 @@ MultiSampleReport GraphCluster::NeighborRound(
 
 MultiSampleReport GraphCluster::SampleMany(
     const std::vector<SampleWorkItem>& work) {
-  std::vector<const std::vector<VertexId>*> item_seeds;
-  item_seeds.reserve(work.size());
-  for (const SampleWorkItem& w : work) item_seeds.push_back(w.seeds);
   return NeighborRound(
-      item_seeds,
-      [&](std::size_t s, std::size_t item,
+      work,
+      [&](std::size_t s, const SampleWorkItem& w,
           const std::vector<std::size_t>& positions,
           std::vector<std::vector<VertexId>>* local) {
-        const SampleWorkItem& w = work[item];
         // Fresh RNG per item per attempt: batched results are
         // bit-identical to issuing the item alone, and a retry replays
         // the exact draw sequence of the failed attempt.
@@ -492,7 +476,7 @@ MultiSampleReport GraphCluster::SampleMany(
                                       w.weighted, rng, &(*local)[i], w.type);
         }
       },
-      [&](std::size_t s, std::size_t item,
+      [&](std::size_t s, const SampleWorkItem& w,
           const std::vector<std::size_t>& positions,
           std::vector<std::vector<VertexId>>* item_results,
           SampleReport* report) {
@@ -504,7 +488,6 @@ MultiSampleReport GraphCluster::SampleMany(
         // primary failure: a fault-free run never touches replicas and
         // stays bit-identical to a replication-disabled run.
         if (replication_ == nullptr) return false;
-        const SampleWorkItem& w = work[item];
         std::vector<VertexId> group_seeds;
         group_seeds.reserve(positions.size());
         for (std::size_t pos : positions) {
@@ -528,34 +511,24 @@ MultiSampleReport GraphCluster::SampleMany(
 SampleReport GraphCluster::SampleNeighborsChecked(
     const std::vector<VertexId>& seeds, std::size_t fanout, bool weighted,
     std::uint64_t seed, EdgeType type) {
-  SampleWorkItem item;
-  item.seeds = &seeds;
-  item.fanout = fanout;
-  item.weighted = weighted;
-  item.rng_seed = seed;
-  item.type = type;
-  MultiSampleReport multi = SampleMany({item});
-  return std::move(multi.reports[0]);
+  return std::move(
+      SampleMany({SampleWorkItem{&seeds, fanout, weighted, seed, type}})
+          .reports[0]);
 }
 
 MultiSampleReport GraphCluster::TraverseMany(
     const std::vector<TraverseWorkItem>& work) {
-  std::vector<const std::vector<VertexId>*> item_seeds;
-  item_seeds.reserve(work.size());
-  for (const TraverseWorkItem& w : work) item_seeds.push_back(w.seeds);
   return NeighborRound(
-      item_seeds,
-      [&](std::size_t s, std::size_t item,
+      work,
+      [&](std::size_t s, const TraverseWorkItem& w,
           const std::vector<std::size_t>& positions,
           std::vector<std::vector<VertexId>>* local) {
-        const TraverseWorkItem& w = work[item];
         for (std::size_t i = 0; i < positions.size(); ++i) {
           shards_[s]->Traverse((*w.seeds)[positions[i]], w.cap, &(*local)[i],
                                w.type);
         }
       },
-      [](std::size_t, std::size_t, const std::vector<std::size_t>&,
-         std::vector<std::vector<VertexId>>*, SampleReport*) {
+      [](auto&&...) {
         // No replica fallback for traversal: degraded frontiers must stay
         // visible to the serving layer's SLO accounting.
         return false;
@@ -568,81 +541,56 @@ MultiGatherReport GraphCluster::GatherMany(
   multi.reports.resize(work.size());
   if (work.empty()) return multi;
 
-  struct ShardGroup {
-    std::size_t item;
-    std::vector<std::size_t> positions;
-  };
-  std::vector<std::vector<ShardGroup>> shard_groups(shards_.size());
-  for (std::size_t w = 0; w < work.size(); ++w) {
-    const std::vector<VertexId>& ids = *work[w].ids;
-    std::vector<std::vector<std::size_t>> by_shard(shards_.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      by_shard[partitioner_.ShardOf(ids[i])].push_back(i);
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!by_shard[s].empty()) {
-        shard_groups[s].push_back(ShardGroup{w, std::move(by_shard[s])});
-      }
-    }
-  }
-
   // rows[w][i] = feature vector for (*work[w].ids)[i] (empty = zero row).
   std::vector<std::vector<std::vector<float>>> rows(work.size());
   for (std::size_t w = 0; w < work.size(); ++w) {
     rows[w].resize(work[w].ids->size());
-  }
-  std::vector<RpcOutcome> outcomes(shards_.size());
-  pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
-    const std::vector<ShardGroup>& groups = shard_groups[s];
-    if (groups.empty()) return;
-    outcomes[s] = RunRpc(s, [&](bool corrupt, RpcOutcome& out) {
-      if (corrupt) {
-        // A damaged feature payload fails its checksum; modelled as a
-        // rejected response so RunRpc retries (same stance as update acks).
-        return false;
-      }
-      Timer rpc;
-      std::uint64_t resp = 0;
-      std::vector<float> row;
-      for (const ShardGroup& grp : groups) {
-        const std::vector<VertexId>& ids = *work[grp.item].ids;
-        resp += 5;
-        for (std::size_t pos : grp.positions) {
-          shards_[s]->GatherFeatures(ids[pos], &row);
-          resp += 4 + row.size() * sizeof(float);
-          rows[grp.item][pos] = row;
-        }
-      }
-      rpc_latency_.RecordMicros(rpc.ElapsedMicros());
-      out.resp_bytes += resp;
-      return true;
-    });
-  });
-
-  for (std::size_t w = 0; w < work.size(); ++w) {
     multi.reports[w].row_status.assign(work[w].ids->size(), SeedStatus::kOk);
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<ShardGroup>& groups = shard_groups[s];
-    if (groups.empty()) continue;
-    const RpcOutcome& out = outcomes[s];
-    MergeOutcome(out);
-    std::size_t shard_ids = 0;
-    for (const ShardGroup& grp : groups) shard_ids += grp.positions.size();
-    counters_.bytes_sent->Add(
-        out.attempts * (14 * groups.size() + shard_ids * sizeof(VertexId)));
-    shard_gather_counters_[s]->Add(shard_ids);
-    counters_.bytes_received->Add(out.resp_bytes);
-    multi.round_virtual_us = std::max(multi.round_virtual_us, out.virtual_us);
-    if (!out.delivered) {
-      for (const ShardGroup& grp : groups) {
-        GatherReport& report = multi.reports[grp.item];
-        for (std::size_t pos : grp.positions) {
-          rows[grp.item][pos].clear();
-          report.row_status[pos] = SeedStatus::kDegraded;
-        }
-        report.degraded_rows += grp.positions.size();
+  const ShardGroups groups = GroupByShard(
+      work.size(), [&](std::size_t w) { return work[w].ids->size(); },
+      [&](std::size_t w, std::size_t i) { return (*work[w].ids)[i]; });
+  const Round round = RunRound(
+      groups,
+      [&](std::size_t s, const std::vector<ShardGroup>& on_shard) {
+        return RunRpc(s, [&](bool corrupt, RpcOutcome& out) {
+          if (corrupt) {
+            // A damaged feature payload fails its checksum; modelled as a
+            // rejected response so RunRpc retries (same stance as update
+            // acks).
+            return false;
+          }
+          Timer rpc;
+          // Feature rows have no codec; their layout is a SampleResponse's
+          // with f32 payloads: header + per id (4 B len + 4 B each).
+          std::uint64_t resp = 0;
+          std::vector<float> row;
+          for (const ShardGroup& grp : on_shard) {
+            const std::vector<VertexId>& ids = *work[grp.item].ids;
+            resp += 5;
+            for (std::size_t pos : grp.positions) {
+              shards_[s]->GatherFeatures(ids[pos], &row);
+              resp += 4 + row.size() * sizeof(float);
+              rows[grp.item][pos] = row;
+            }
+          }
+          rpc_latency_.RecordMicros(rpc.ElapsedMicros());
+          out.resp_bytes += resp;
+          return true;
+        });
+      },
+      kSampleRequestsBytes, &shard_gather_counters_);
+  multi.round_virtual_us = round.virtual_us;
+
+  for (std::size_t s = 0; s < groups.size(); ++s) {
+    if (groups[s].empty() || round.outcomes[s].delivered) continue;
+    for (const ShardGroup& grp : groups[s]) {
+      GatherReport& report = multi.reports[grp.item];
+      for (std::size_t pos : grp.positions) {
+        rows[grp.item][pos].clear();
+        report.row_status[pos] = SeedStatus::kDegraded;
       }
+      report.degraded_rows += grp.positions.size();
     }
   }
   ReplicationHealthCheck();

@@ -84,8 +84,8 @@ struct ClusterConfig {
 struct ClusterStats {
   std::uint64_t rpcs = 0;  ///< attempts, including retried/failed ones
   std::uint64_t virtual_network_us = 0;
-  /// Wire-format sizes (see dist/wire.h) the RPCs would have shipped,
-  /// computed arithmetically from the same layout the codec pins.
+  /// Wire-format sizes the RPCs would have shipped: the wire::*Bytes
+  /// functions next to the encoders in dist/wire.h.
   std::uint64_t bytes_sent = 0;      ///< client -> shards (requests)
   std::uint64_t bytes_received = 0;  ///< shards -> client (responses)
   // --- fault-tolerance observability ---
@@ -317,6 +317,7 @@ class GraphCluster {
   struct RpcOutcome {
     bool delivered = false;
     bool deadline_hit = false;
+    bool handoff = false;  ///< updates written to a crashed shard's WAL
     std::uint64_t attempts = 0;
     std::uint64_t virtual_us = 0;
     std::uint64_t transient_faults = 0;
@@ -325,31 +326,59 @@ class GraphCluster {
     std::uint64_t resp_bytes = 0;  ///< response bytes shipped back
   };
 
+  /// One work item's keys owned by one shard: their positions in the
+  /// item's key list, in key order.
+  struct ShardGroup {
+    std::size_t item = 0;
+    std::vector<std::size_t> positions;
+  };
+  /// groups[s] = shard s's groups in item order; empty = shard untouched.
+  using ShardGroups = std::vector<std::vector<ShardGroup>>;
+
+  /// The round's outcomes by shard, and its virtual wall time: the max
+  /// across the per-shard RPCs, since they fan out in parallel.
+  struct Round {
+    std::vector<RpcOutcome> outcomes;
+    std::uint64_t virtual_us = 0;
+  };
+
   /// Drive the retry loop for one logical RPC against shard s. `body`
   /// performs one attempt's shard-side work; body(corrupt, out) returns
   /// whether the client accepted the response.
   template <typename Body>
   RpcOutcome RunRpc(std::size_t s, Body&& body);
 
-  /// Shared engine for neighbour-shaped cross-request rounds (SampleMany /
-  /// TraverseMany): groups every item's seeds by shard, ships one RPC per
-  /// touched shard via RunRpc, and reassembles per-item SampleReports.
+  /// Round engine, step 1 (group): item w's keys are key(w, i) for
+  /// i < size(w); each is routed to the shard owning it.
+  template <typename Size, typename Key>
+  ShardGroups GroupByShard(std::size_t num_items, Size&& size,
+                           Key&& key) const;
+
+  /// Round engine, steps 2 and 3 (fan out, merge). Runs call(s,
+  /// groups[s]) — one logical RPC — for every touched shard in parallel,
+  /// then folds each outcome into the counters serially: attempts and
+  /// faults, attempts x request_bytes(groups[s]) sent, the response bytes
+  /// received, and (when `load` is given) the shard's key count into
+  /// (*load)[s]. Every cross-shard call goes through here.
+  template <typename Call, typename RequestBytes>
+  Round RunRound(const ShardGroups& groups, Call&& call,
+                 RequestBytes&& request_bytes,
+                 const std::vector<obs::Counter*>* load);
+
+  /// Neighbour-shaped rounds (SampleMany / TraverseMany) on the engine:
   /// `fill(s, item, positions, local)` performs one item group's
   /// shard-side work for one attempt; `fallback(s, item, positions,
   /// item_results, report)` may serve a failed shard's seeds from a
-  /// replica, returning whether it did.
-  template <typename Fill, typename Fallback>
-  MultiSampleReport NeighborRound(
-      const std::vector<const std::vector<VertexId>*>& item_seeds,
-      Fill&& fill, Fallback&& fallback);
+  /// replica, returning whether it did. Reassembles per-item reports.
+  template <typename Work, typename Fill, typename Fallback>
+  MultiSampleReport NeighborRound(const std::vector<Work>& work, Fill&& fill,
+                                  Fallback&& fallback);
 
-  /// Update delivery to one shard (crash handoff / retry loop). Pure
-  /// w.r.t. stats_; the caller merges the outcome serially.
+  /// Update delivery of batch[positions] to shard s (crash handoff /
+  /// retry loop). Pure w.r.t. the counters; the round merges serially.
   RpcOutcome DeliverUpdates(std::size_t s,
-                            const std::vector<EdgeUpdate>& group);
-
-  /// Fold one logical RPC's outcome into stats_ (serial sections only).
-  void MergeOutcome(const RpcOutcome& out);
+                            const std::vector<EdgeUpdate>& batch,
+                            const std::vector<std::size_t>& positions);
 
   /// Ship outstanding WAL entries and run the failover health monitor
   /// against the current virtual clock (serial sections only).

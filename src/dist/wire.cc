@@ -25,7 +25,7 @@ bool Get(const std::string& in, std::size_t* pos, T* value) {
 
 std::string EncodeSampleRequest(const SampleRequest& req) {
   std::string out;
-  out.reserve(14 + req.seeds.size() * sizeof(VertexId));
+  out.reserve(SampleRequestBytes(req.seeds.size()));
   out.push_back('S');
   Put(&out, req.edge_type);
   Put(&out, req.fanout);
@@ -35,14 +35,15 @@ std::string EncodeSampleRequest(const SampleRequest& req) {
   return out;
 }
 
-bool DecodeSampleRequest(const std::string& bytes, SampleRequest* req) {
+DecodeResult DecodeSampleRequest(const std::string& bytes,
+                                 SampleRequest* req) {
   std::size_t pos = 0;
-  if (bytes.empty() || bytes[pos++] != 'S') return false;
+  if (bytes.empty() || bytes[pos++] != 'S') return DecodeResult::kMalformed;
   std::uint8_t weighted;
   std::uint32_t count;
   if (!Get(bytes, &pos, &req->edge_type) || !Get(bytes, &pos, &req->fanout) ||
       !Get(bytes, &pos, &weighted) || !Get(bytes, &pos, &count)) {
-    return false;
+    return DecodeResult::kMalformed;
   }
   // Bounds-check the declared count against the actual tail BEFORE
   // allocating: a malformed count of ~4 billion must be rejected, not
@@ -50,14 +51,14 @@ bool DecodeSampleRequest(const std::string& bytes, SampleRequest* req) {
   // payload, so the check is exact and also rejects trailing garbage.
   if (bytes.size() - pos !=
       static_cast<std::size_t>(count) * sizeof(VertexId)) {
-    return false;
+    return DecodeResult::kMalformed;
   }
   req->weighted = weighted != 0;
   req->seeds.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (!Get(bytes, &pos, &req->seeds[i])) return false;
+    if (!Get(bytes, &pos, &req->seeds[i])) return DecodeResult::kMalformed;
   }
-  return pos == bytes.size();
+  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
 }
 
 std::string EncodeSampleResponse(const NeighborBatch& batch) {
@@ -75,42 +76,43 @@ std::string EncodeSampleResponse(const NeighborBatch& batch) {
   return out;
 }
 
-bool DecodeSampleResponse(const std::string& bytes, NeighborBatch* batch) {
+DecodeResult DecodeSampleResponse(const std::string& bytes,
+                                  NeighborBatch* batch) {
   std::size_t pos = 0;
-  if (bytes.empty() || bytes[pos++] != 'R') return false;
+  if (bytes.empty() || bytes[pos++] != 'R') return DecodeResult::kMalformed;
   std::uint32_t seeds;
-  if (!Get(bytes, &pos, &seeds)) return false;
+  if (!Get(bytes, &pos, &seeds)) return DecodeResult::kMalformed;
   // Each seed contributes at least a 4-byte length prefix: reject absurd
   // seed counts before reserving anything.
   if (static_cast<std::size_t>(seeds) * sizeof(std::uint32_t) >
       bytes.size() - pos) {
-    return false;
+    return DecodeResult::kMalformed;
   }
   batch->neighbors.clear();
   batch->offsets.assign(1, 0);
   batch->offsets.reserve(static_cast<std::size_t>(seeds) + 1);
   for (std::uint32_t i = 0; i < seeds; ++i) {
     std::uint32_t len;
-    if (!Get(bytes, &pos, &len)) return false;
+    if (!Get(bytes, &pos, &len)) return DecodeResult::kMalformed;
     // Bounds-check the whole range before reading it: a bit-flipped
     // length prefix must never cause an over-read or an absurd reserve.
     if (static_cast<std::size_t>(len) * sizeof(VertexId) >
         bytes.size() - pos) {
-      return false;
+      return DecodeResult::kMalformed;
     }
     for (std::uint32_t j = 0; j < len; ++j) {
       VertexId v;
-      if (!Get(bytes, &pos, &v)) return false;
+      if (!Get(bytes, &pos, &v)) return DecodeResult::kMalformed;
       batch->neighbors.push_back(v);
     }
     batch->offsets.push_back(batch->neighbors.size());
   }
-  return pos == bytes.size();
+  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
 }
 
 std::string EncodeUpdateBatch(const std::vector<EdgeUpdate>& batch) {
   std::string out;
-  out.reserve(5 + batch.size() * 29);
+  out.reserve(UpdateBatchBytes(batch.size()));
   out.push_back('U');
   Put(&out, static_cast<std::uint32_t>(batch.size()));
   for (const EdgeUpdate& u : batch) {
@@ -123,17 +125,18 @@ std::string EncodeUpdateBatch(const std::vector<EdgeUpdate>& batch) {
   return out;
 }
 
-bool DecodeUpdateBatch(const std::string& bytes,
-                       std::vector<EdgeUpdate>* batch) {
+DecodeResult DecodeUpdateBatch(const std::string& bytes,
+                               std::vector<EdgeUpdate>* batch) {
   std::size_t pos = 0;
-  if (bytes.empty() || bytes[pos++] != 'U') return false;
+  if (bytes.empty() || bytes[pos++] != 'U') return DecodeResult::kMalformed;
   std::uint32_t count;
-  if (!Get(bytes, &pos, &count)) return false;
-  // Updates are fixed 29-byte records and the whole remaining payload:
+  if (!Get(bytes, &pos, &count)) return DecodeResult::kMalformed;
+  // Updates are fixed-size records and the whole remaining payload:
   // exact arithmetic check before the reserve, so truncation, trailing
   // garbage and absurd counts are all rejected without allocating.
-  if (bytes.size() - pos != static_cast<std::size_t>(count) * 29) {
-    return false;
+  if (bytes.size() - pos !=
+      static_cast<std::size_t>(count) * kUpdateRecordBytes) {
+    return DecodeResult::kMalformed;
   }
   batch->clear();
   batch->reserve(count);
@@ -142,14 +145,14 @@ bool DecodeUpdateBatch(const std::string& bytes,
     EdgeUpdate u;
     if (!Get(bytes, &pos, &kind) || !Get(bytes, &pos, &u.edge.type) ||
         !Get(bytes, &pos, &u.edge.src) || !Get(bytes, &pos, &u.edge.dst) ||
-        !Get(bytes, &pos, &u.edge.weight)) {
-      return false;
+        !Get(bytes, &pos, &u.edge.weight) ||
+        kind > static_cast<std::uint8_t>(UpdateKind::kDelete)) {
+      return DecodeResult::kMalformed;
     }
-    if (kind > static_cast<std::uint8_t>(UpdateKind::kDelete)) return false;
     u.kind = static_cast<UpdateKind>(kind);
     batch->push_back(u);
   }
-  return pos == bytes.size();
+  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
 }
 
 namespace {

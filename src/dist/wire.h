@@ -32,7 +32,7 @@
 // Decoders are hardened against malformed input: every length/count
 // prefix is bounds-checked against the remaining payload BEFORE any
 // allocation or read, so truncated buffers, bit-flipped prefixes, absurd
-// counts and trailing garbage all return false without over-reading
+// counts and trailing garbage all return kMalformed without over-reading
 // (negative suite: tests/test_wire_fuzz.cc). The cluster's fault
 // injector routes corrupted responses through these decoders.
 #pragma once
@@ -53,6 +53,29 @@ struct TimedUpdate;  // temporal/edge_log.h
 
 namespace platod2gl::wire {
 
+/// Decode result shared by every decoder here. Only the versioned
+/// messages (replication, serving, trace) can report kUnsupportedVersion.
+enum class DecodeResult : std::uint8_t {
+  kOk = 0,
+  kMalformed = 1,           ///< structural damage: reject, never over-read
+  kUnsupportedVersion = 2,  ///< recognised tag, unknown version byte
+};
+
+// Encoded sizes of the client RPC messages, from the layouts above. The
+// cluster charges these to its byte counters without encoding;
+// tests/test_wire.cc pins each against its encoder.
+constexpr std::size_t kUpdateRecordBytes = 29;
+constexpr std::size_t SampleRequestBytes(std::size_t seeds) {
+  return 14 + seeds * sizeof(VertexId);
+}
+constexpr std::size_t SampleResponseBytes(std::size_t seeds,
+                                          std::size_t neighbors) {
+  return 5 + seeds * sizeof(std::uint32_t) + neighbors * sizeof(VertexId);
+}
+constexpr std::size_t UpdateBatchBytes(std::size_t updates) {
+  return 5 + updates * kUpdateRecordBytes;
+}
+
 struct SampleRequest {
   EdgeType edge_type = 0;
   std::uint32_t fanout = 0;
@@ -64,15 +87,17 @@ struct SampleRequest {
 };
 
 std::string EncodeSampleRequest(const SampleRequest& req);
-bool DecodeSampleRequest(const std::string& bytes, SampleRequest* req);
+DecodeResult DecodeSampleRequest(const std::string& bytes,
+                                 SampleRequest* req);
 
 /// The response reuses NeighborBatch (per-seed ranges).
 std::string EncodeSampleResponse(const NeighborBatch& batch);
-bool DecodeSampleResponse(const std::string& bytes, NeighborBatch* batch);
+DecodeResult DecodeSampleResponse(const std::string& bytes,
+                                  NeighborBatch* batch);
 
 std::string EncodeUpdateBatch(const std::vector<EdgeUpdate>& batch);
-bool DecodeUpdateBatch(const std::string& bytes,
-                       std::vector<EdgeUpdate>* batch);
+DecodeResult DecodeUpdateBatch(const std::string& bytes,
+                               std::vector<EdgeUpdate>* batch);
 
 // --- Replication protocol (primary -> replica log shipping) --------------
 
@@ -80,13 +105,6 @@ bool DecodeUpdateBatch(const std::string& bytes,
 /// anything else with kUnsupportedVersion (never kMalformed — an old peer
 /// is a negotiation failure, not corruption).
 inline constexpr std::uint8_t kReplicationWireVersion = 1;
-
-/// Three-state decode result for the versioned replication messages.
-enum class DecodeResult : std::uint8_t {
-  kOk = 0,
-  kMalformed = 1,           ///< structural damage: reject, never over-read
-  kUnsupportedVersion = 2,  ///< recognised tag, unknown version byte
-};
 
 /// One WAL entry in flight: the per-shard sequence number (the WAL's
 /// timestamp key, see dist/shard.h) plus the update itself.

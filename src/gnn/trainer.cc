@@ -63,15 +63,9 @@ std::vector<Trainer::EvalPoint> Trainer::Fit(
   double best_loss = std::numeric_limits<double>::infinity();
   int since_best = 0;
 
-  // Honour the deprecated `epochs` alias when a caller still sets it.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const int total_steps = options.epochs >= 0 ? options.epochs : options.steps;
-#pragma GCC diagnostic pop
-
-  for (int step = 1; step <= total_steps; ++step) {
+  for (int step = 1; step <= options.steps; ++step) {
     TrainStepSampled(rng);
-    if (step % options.eval_every != 0 && step != total_steps) continue;
+    if (step % options.eval_every != 0 && step != options.steps) continue;
 
     const auto eval = Evaluate(eval_seeds, rng);
     history.push_back(EvalPoint{step, eval.loss, eval.accuracy});

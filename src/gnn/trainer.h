@@ -55,12 +55,6 @@ class Trainer {
     /// count as progress (evaluations are stochastic; without a margin,
     /// noise keeps resetting the patience counter).
     double min_delta = 0.0;
-    /// Deprecated alias for `steps` — the old name counted minibatch
-    /// steps all along, never epochs. When set (>= 0) it overrides
-    /// `steps` so `.epochs = N` designated initializers keep working.
-    [[deprecated("FitOptions::epochs always counted minibatch steps; "
-                 "use FitOptions::steps")]]
-    int epochs = -1;
   };
   struct EvalPoint {
     int step = 0;

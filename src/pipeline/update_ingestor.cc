@@ -119,20 +119,27 @@ void UpdateIngestor::Close() {
 }
 
 std::size_t UpdateIngestor::DrainAll(std::vector<IngestedUpdate>* out) {
+  // One consistent cut: every shard lock is held (taken in index order)
+  // while the queues are swapped out. Draining shard by shard let a
+  // producer's update in a not-yet-visited shard be drained ahead of its
+  // earlier update in an already-visited one; applied first, it made the
+  // WAL refuse the earlier one (tests/test_schedcheck_scenarios.cc,
+  // IngestorCutScenario). The swaps cannot throw, so no lock is left held.
+  std::vector<std::deque<IngestedUpdate>> hauls(shards_.size());
+  for (auto& shard : shards_) shard->mu.lock();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    hauls[i].swap(shards_[i]->queue);
+  }
+  for (auto& shard : shards_) shard->mu.unlock();
+
   std::size_t drained = 0;
-  for (auto& shard : shards_) {
-    std::size_t taken = 0;
-    {
-      MutexLock lock(shard->mu);
-      taken = shard->queue.size();
-      for (auto& e : shard->queue) out->push_back(e);
-      shard->queue.clear();
-    }
-    if (taken > 0) {
-      drained += taken;
-      queued_.fetch_sub(taken, std::memory_order_release);
-      shard->space_cv.notify_all();
-    }
+  for (const auto& haul : hauls) {
+    drained += haul.size();
+    out->insert(out->end(), haul.begin(), haul.end());
+  }
+  if (drained > 0) {
+    queued_.fetch_sub(drained, std::memory_order_release);
+    for (auto& shard : shards_) shard->space_cv.notify_all();
   }
   return drained;
 }

@@ -106,8 +106,13 @@ class UpdateIngestor {
 
   /// Consumer side: move every queued update out of every shard, append
   /// to *out, and wake producers blocked on the freed space. Returns the
-  /// number drained. Single consumer assumed (the MicroBatcher).
-  std::size_t DrainAll(std::vector<IngestedUpdate>* out);
+  /// number drained. Single consumer assumed (the MicroBatcher). The
+  /// drain is one consistent cut across shards: if one producer's update
+  /// is in the haul, so is every update that producer offered before it.
+  // NO_THREAD_SAFETY_ANALYSIS: locks every shard's mu in a loop, which
+  // the analysis cannot follow.
+  std::size_t DrainAll(std::vector<IngestedUpdate>* out)
+      NO_THREAD_SAFETY_ANALYSIS;
 
   /// Newest accepted event timestamp (0 before any accept).
   std::uint64_t watermark() const {

@@ -35,23 +35,25 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::string payload(reinterpret_cast<const char*>(data + 1),
                             size - 1);
   using namespace platod2gl;
+  constexpr wire::DecodeResult kOk = wire::DecodeResult::kOk;
   switch (data[0] % 3) {
     case 0: {
       wire::SampleRequest req;
-      if (wire::DecodeSampleRequest(payload, &req)) {
+      if (wire::DecodeSampleRequest(payload, &req) == kOk) {
         const std::string enc = wire::EncodeSampleRequest(req);
         wire::SampleRequest again;
-        Require(wire::DecodeSampleRequest(enc, &again), "req re-decode");
+        Require(wire::DecodeSampleRequest(enc, &again) == kOk, "req re-decode");
         Require(again == req, "req round-trip mismatch");
       }
       break;
     }
     case 1: {
       NeighborBatch batch;
-      if (wire::DecodeSampleResponse(payload, &batch)) {
+      if (wire::DecodeSampleResponse(payload, &batch) == kOk) {
         const std::string enc = wire::EncodeSampleResponse(batch);
         NeighborBatch again;
-        Require(wire::DecodeSampleResponse(enc, &again), "resp re-decode");
+        Require(wire::DecodeSampleResponse(enc, &again) == kOk,
+                "resp re-decode");
         Require(enc == wire::EncodeSampleResponse(again),
                 "resp round-trip mismatch");
       }
@@ -59,10 +61,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     default: {
       std::vector<EdgeUpdate> batch;
-      if (wire::DecodeUpdateBatch(payload, &batch)) {
+      if (wire::DecodeUpdateBatch(payload, &batch) == kOk) {
         const std::string enc = wire::EncodeUpdateBatch(batch);
         std::vector<EdgeUpdate> again;
-        Require(wire::DecodeUpdateBatch(enc, &again), "update re-decode");
+        Require(wire::DecodeUpdateBatch(enc, &again) == kOk,
+                "update re-decode");
         Require(enc == wire::EncodeUpdateBatch(again),
                 "update round-trip mismatch");
       }

@@ -94,7 +94,8 @@ TEST(FaultInjectorTest, CorruptBytesAlwaysRejectedByHardenedDecoders) {
     inj.CorruptBytes(0, &damaged);
     ASSERT_NE(damaged, clean) << "corruption must change the bytes";
     NeighborBatch decoded;
-    ASSERT_FALSE(wire::DecodeSampleResponse(damaged, &decoded))
+    ASSERT_EQ(wire::DecodeSampleResponse(damaged, &decoded),
+              wire::DecodeResult::kMalformed)
         << "iteration " << i << ": structurally damaged response decoded";
   }
 }
@@ -266,6 +267,99 @@ TEST(ClusterFaultTest, CrashedShardDegradesOnlyItsOwnSeeds) {
   EXPECT_GT(degraded, 0u);
   EXPECT_EQ(report.degraded_seeds, degraded);
   EXPECT_GT(cluster.stats().crash_rejections, 0u);
+}
+
+// --- Attribute gather under faults ------------------------------------------
+
+/// Feature rows [v, v + 0.5, -v] for ids 1..60, written straight onto the
+/// owning shards (no RPC, so control and faulty clusters hold the same).
+void PopulateFeatures(GraphCluster* c) {
+  for (VertexId v = 1; v <= 60; ++v) {
+    const float f = static_cast<float>(v);
+    c->shard(c->partitioner().ShardOf(v))
+        .store()
+        .attributes()
+        .SetFeatures(v, {f, f + 0.5f, -f});
+  }
+}
+
+std::vector<GatherWorkItem> GatherItems(const std::vector<VertexId>& a,
+                                        const std::vector<VertexId>& b) {
+  return {GatherWorkItem{&a}, GatherWorkItem{&b}};
+}
+
+TEST(ClusterGatherFaultTest, CrashedShardRowsComeBackAsFlaggedZeros) {
+  GraphCluster healthy(FaultyConfig(FaultConfig{}));
+  GraphCluster crashed(FaultyConfig(FaultConfig{}));
+  PopulateFeatures(&healthy);
+  PopulateFeatures(&crashed);
+  const std::size_t victim = crashed.partitioner().ShardOf(1);
+  crashed.CrashShard(victim);
+
+  std::vector<VertexId> a;
+  std::vector<VertexId> b;
+  for (VertexId v = 1; v <= 30; ++v) a.push_back(v);
+  for (VertexId v = 20; v <= 60; ++v) b.push_back(v);
+  const MultiGatherReport want = healthy.GatherMany(GatherItems(a, b));
+  const MultiGatherReport got = crashed.GatherMany(GatherItems(a, b));
+  ASSERT_EQ(want.dim, 3u);
+  ASSERT_EQ(got.dim, 3u);
+  ASSERT_EQ(got.reports.size(), 2u);
+  for (std::size_t w = 0; w < 2; ++w) {
+    const std::vector<VertexId>& ids = w == 0 ? a : b;
+    const GatherReport& g = got.reports[w];
+    ASSERT_EQ(g.features.size(), ids.size() * 3);
+    ASSERT_EQ(g.row_status.size(), ids.size());
+    std::uint64_t on_victim = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::vector<float> row(g.features.begin() + 3 * i,
+                                   g.features.begin() + 3 * i + 3);
+      if (crashed.partitioner().ShardOf(ids[i]) == victim) {
+        ++on_victim;
+        EXPECT_EQ(g.row_status[i], SeedStatus::kDegraded) << ids[i];
+        EXPECT_EQ(row, std::vector<float>(3, 0.0f)) << ids[i];
+      } else {
+        EXPECT_EQ(g.row_status[i], SeedStatus::kOk) << ids[i];
+        const std::vector<float> healthy_row(
+            want.reports[w].features.begin() + 3 * i,
+            want.reports[w].features.begin() + 3 * i + 3);
+        EXPECT_EQ(row, healthy_row) << ids[i];
+      }
+    }
+    EXPECT_GT(on_victim, 0u);
+    EXPECT_EQ(g.degraded_rows, on_victim) << "item " << w;
+    EXPECT_EQ(want.reports[w].degraded_rows, 0u);
+  }
+  EXPECT_GT(crashed.stats().crash_rejections, 0u);
+}
+
+TEST(ClusterGatherFaultTest, TransientFaultsWithinBudgetAreInvisible) {
+  GraphCluster control(FaultyConfig(FaultConfig{}));
+  GraphCluster faulty(FaultyConfig(NoisyConfig()));
+  PopulateFeatures(&control);
+  PopulateFeatures(&faulty);
+
+  std::vector<VertexId> a;
+  std::vector<VertexId> b;
+  for (VertexId v = 1; v <= 60; v += 2) a.push_back(v);
+  for (VertexId v = 60; v >= 1; v -= 3) b.push_back(v);
+  for (int round = 0; round < 20; ++round) {
+    const MultiGatherReport want = control.GatherMany(GatherItems(a, b));
+    const MultiGatherReport got = faulty.GatherMany(GatherItems(a, b));
+    ASSERT_EQ(got.dim, want.dim) << "round " << round;
+    for (std::size_t w = 0; w < 2; ++w) {
+      // Bit-identical rows: float vectors compared element-exactly.
+      ASSERT_EQ(got.reports[w].features, want.reports[w].features)
+          << "round " << round << " item " << w;
+      ASSERT_EQ(got.reports[w].degraded_rows, 0u);
+      for (const SeedStatus st : got.reports[w].row_status) {
+        ASSERT_EQ(st, SeedStatus::kOk);
+      }
+    }
+  }
+  EXPECT_GT(faulty.stats().transient_faults, 0u);
+  EXPECT_GT(faulty.stats().retries, 0u);
+  EXPECT_EQ(faulty.stats().deadline_hits, 0u);
 }
 
 // --- RemoteSubgraphSampler resilience --------------------------------------

@@ -25,7 +25,8 @@ TEST(WireTest, SampleRequestRoundTrip) {
   EXPECT_EQ(bytes[0], 'S');
 
   wire::SampleRequest decoded;
-  ASSERT_TRUE(wire::DecodeSampleRequest(bytes, &decoded));
+  ASSERT_EQ(wire::DecodeSampleRequest(bytes, &decoded),
+            wire::DecodeResult::kOk);
   EXPECT_EQ(decoded, req);
 }
 
@@ -37,7 +38,8 @@ TEST(WireTest, SampleResponseRoundTrip) {
   const std::string bytes = wire::EncodeSampleResponse(batch);
   EXPECT_EQ(bytes[0], 'R');
   NeighborBatch decoded;
-  ASSERT_TRUE(wire::DecodeSampleResponse(bytes, &decoded));
+  ASSERT_EQ(wire::DecodeSampleResponse(bytes, &decoded),
+            wire::DecodeResult::kOk);
   EXPECT_EQ(decoded.neighbors, batch.neighbors);
   EXPECT_EQ(decoded.offsets, batch.offsets);
 }
@@ -52,7 +54,7 @@ TEST(WireTest, UpdateBatchRoundTrip) {
   EXPECT_EQ(bytes.size(), 5u + 3 * 29u) << "pinned 29-byte update records";
 
   std::vector<EdgeUpdate> decoded;
-  ASSERT_TRUE(wire::DecodeUpdateBatch(bytes, &decoded));
+  ASSERT_EQ(wire::DecodeUpdateBatch(bytes, &decoded), wire::DecodeResult::kOk);
   ASSERT_EQ(decoded.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(decoded[i].kind, batch[i].kind) << i;
@@ -63,13 +65,13 @@ TEST(WireTest, UpdateBatchRoundTrip) {
 TEST(WireTest, EmptyMessages) {
   wire::SampleRequest req;
   wire::SampleRequest decoded;
-  ASSERT_TRUE(
-      wire::DecodeSampleRequest(wire::EncodeSampleRequest(req), &decoded));
+  ASSERT_EQ(wire::DecodeSampleRequest(wire::EncodeSampleRequest(req), &decoded),
+            wire::DecodeResult::kOk);
   EXPECT_TRUE(decoded.seeds.empty());
 
   std::vector<EdgeUpdate> batch, out;
-  ASSERT_TRUE(
-      wire::DecodeUpdateBatch(wire::EncodeUpdateBatch(batch), &out));
+  ASSERT_EQ(wire::DecodeUpdateBatch(wire::EncodeUpdateBatch(batch), &out),
+            wire::DecodeResult::kOk);
   EXPECT_TRUE(out.empty());
 }
 
@@ -78,24 +80,26 @@ TEST(WireTest, CorruptionRejected) {
   req.seeds = {1, 2, 3};
   std::string bytes = wire::EncodeSampleRequest(req);
 
+  constexpr wire::DecodeResult kMalformed = wire::DecodeResult::kMalformed;
   wire::SampleRequest sink;
   // Wrong tag.
   std::string wrong = bytes;
   wrong[0] = 'U';
-  EXPECT_FALSE(wire::DecodeSampleRequest(wrong, &sink));
+  EXPECT_EQ(wire::DecodeSampleRequest(wrong, &sink), kMalformed);
   // Truncated.
-  EXPECT_FALSE(
-      wire::DecodeSampleRequest(bytes.substr(0, bytes.size() - 3), &sink));
+  EXPECT_EQ(
+      wire::DecodeSampleRequest(bytes.substr(0, bytes.size() - 3), &sink),
+      kMalformed);
   // Trailing garbage.
-  EXPECT_FALSE(wire::DecodeSampleRequest(bytes + "x", &sink));
+  EXPECT_EQ(wire::DecodeSampleRequest(bytes + "x", &sink), kMalformed);
   // Empty.
-  EXPECT_FALSE(wire::DecodeSampleRequest("", &sink));
+  EXPECT_EQ(wire::DecodeSampleRequest("", &sink), kMalformed);
 
   std::vector<EdgeUpdate> batch_sink;
   std::string upd = wire::EncodeUpdateBatch(
       {{UpdateKind::kInsert, Edge{1, 2, 1.0, 0}}});
   upd[5] = 9;  // invalid UpdateKind
-  EXPECT_FALSE(wire::DecodeUpdateBatch(upd, &batch_sink));
+  EXPECT_EQ(wire::DecodeUpdateBatch(upd, &batch_sink), kMalformed);
 }
 
 TEST(WireTest, ClusterByteAccountingMatchesCodec) {
@@ -121,6 +125,63 @@ TEST(WireTest, ClusterByteAccountingMatchesCodec) {
   const auto before = cluster.stats().bytes_received;
   cluster.SampleNeighbors({1, 2, 3}, 4, true, 9);
   EXPECT_GT(cluster.stats().bytes_received, before + 3 * 4u);
+
+  // A two-item round ships one SampleRequest and one SampleResponse per
+  // (item, shard) group: the byte counters equal the codec's sizes summed
+  // over the groups, headers included.
+  const std::vector<VertexId> a = {1, 2, 3, 4, 5, 6, 7};
+  const std::vector<VertexId> b = {50, 3, 77};
+  const std::vector<SampleWorkItem> work = {
+      SampleWorkItem{&a, 2, true, 11, 0}, SampleWorkItem{&b, 3, false, 12, 0}};
+  const ClusterStats start = cluster.stats();
+  const MultiSampleReport multi = cluster.SampleMany(work);
+  std::uint64_t want_sent = 0;
+  std::uint64_t want_received = 0;
+  for (std::size_t w = 0; w < work.size(); ++w) {
+    const std::vector<VertexId>& seeds = *work[w].seeds;
+    const NeighborBatch& got = multi.reports[w].batch;
+    for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+      wire::SampleRequest req;
+      req.fanout = static_cast<std::uint32_t>(work[w].fanout);
+      req.weighted = work[w].weighted;
+      NeighborBatch resp;
+      resp.offsets.push_back(0);
+      for (std::size_t i = 0; i < seeds.size(); ++i) {
+        if (cluster.partitioner().ShardOf(seeds[i]) != s) continue;
+        req.seeds.push_back(seeds[i]);
+        resp.neighbors.insert(resp.neighbors.end(),
+                              got.neighbors.begin() + got.offsets[i],
+                              got.neighbors.begin() + got.offsets[i + 1]);
+        resp.offsets.push_back(resp.neighbors.size());
+      }
+      if (req.seeds.empty()) continue;
+      want_sent += wire::EncodeSampleRequest(req).size();
+      want_received += wire::EncodeSampleResponse(resp).size();
+    }
+  }
+  EXPECT_EQ(cluster.stats().bytes_sent - start.bytes_sent, want_sent);
+  EXPECT_EQ(cluster.stats().bytes_received - start.bytes_received,
+            want_received);
+}
+
+TEST(WireTest, SizeFunctionsMatchEncoders) {
+  for (const std::size_t n : {0u, 1u, 3u, 17u}) {
+    wire::SampleRequest req;
+    std::vector<EdgeUpdate> updates;
+    NeighborBatch resp;
+    resp.offsets.push_back(0);
+    for (std::size_t i = 0; i < n; ++i) {
+      req.seeds.push_back(i * 7);
+      updates.push_back({UpdateKind::kInsert, Edge{i, i + 1, 1.0, 0}});
+      for (std::size_t j = 0; j < i % 4; ++j) resp.neighbors.push_back(j);
+      resp.offsets.push_back(resp.neighbors.size());
+    }
+    EXPECT_EQ(wire::SampleRequestBytes(n),
+              wire::EncodeSampleRequest(req).size());
+    EXPECT_EQ(wire::SampleResponseBytes(n, resp.neighbors.size()),
+              wire::EncodeSampleResponse(resp).size());
+    EXPECT_EQ(wire::UpdateBatchBytes(n), wire::EncodeUpdateBatch(updates).size());
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 namespace platod2gl {
 namespace {
 
+using wire::DecodeResult;
 using wire::DecodeSampleRequest;
 using wire::DecodeSampleResponse;
 using wire::DecodeUpdateBatch;
@@ -46,15 +47,15 @@ std::vector<EdgeUpdate> MakeUpdates() {
 }
 
 // Decode helpers with a uniform signature so one sweep drives all three.
-bool TryRequest(const std::string& bytes) {
+DecodeResult TryRequest(const std::string& bytes) {
   SampleRequest out;
   return DecodeSampleRequest(bytes, &out);
 }
-bool TryResponse(const std::string& bytes) {
+DecodeResult TryResponse(const std::string& bytes) {
   NeighborBatch out;
   return DecodeSampleResponse(bytes, &out);
 }
-bool TryUpdates(const std::string& bytes) {
+DecodeResult TryUpdates(const std::string& bytes) {
   std::vector<EdgeUpdate> out;
   return DecodeUpdateBatch(bytes, &out);
 }
@@ -64,34 +65,41 @@ bool TryUpdates(const std::string& bytes) {
 TEST(WireFuzzTest, EveryTruncationOfARequestIsRejected) {
   const std::string full = EncodeSampleRequest(MakeRequest());
   for (std::size_t n = 0; n < full.size(); ++n) {
-    EXPECT_FALSE(TryRequest(full.substr(0, n))) << "prefix length " << n;
+    EXPECT_EQ(TryRequest(full.substr(0, n)), DecodeResult::kMalformed)
+        << "prefix length " << n;
   }
-  EXPECT_TRUE(TryRequest(full)) << "sanity: the untruncated message decodes";
+  EXPECT_EQ(TryRequest(full), DecodeResult::kOk)
+      << "sanity: the untruncated message decodes";
 }
 
 TEST(WireFuzzTest, EveryTruncationOfAResponseIsRejected) {
   const std::string full = EncodeSampleResponse(MakeResponse());
   for (std::size_t n = 0; n < full.size(); ++n) {
-    EXPECT_FALSE(TryResponse(full.substr(0, n))) << "prefix length " << n;
+    EXPECT_EQ(TryResponse(full.substr(0, n)), DecodeResult::kMalformed)
+        << "prefix length " << n;
   }
-  EXPECT_TRUE(TryResponse(full));
+  EXPECT_EQ(TryResponse(full), DecodeResult::kOk);
 }
 
 TEST(WireFuzzTest, EveryTruncationOfAnUpdateBatchIsRejected) {
   const std::string full = EncodeUpdateBatch(MakeUpdates());
   for (std::size_t n = 0; n < full.size(); ++n) {
-    EXPECT_FALSE(TryUpdates(full.substr(0, n))) << "prefix length " << n;
+    EXPECT_EQ(TryUpdates(full.substr(0, n)), DecodeResult::kMalformed)
+        << "prefix length " << n;
   }
-  EXPECT_TRUE(TryUpdates(full));
+  EXPECT_EQ(TryUpdates(full), DecodeResult::kOk);
 }
 
 // --- Trailing garbage: decoders demand exact consumption -------------------
 
 TEST(WireFuzzTest, TrailingGarbageIsRejected) {
   for (const char extra : {'\0', 'S', '\xFF'}) {
-    EXPECT_FALSE(TryRequest(EncodeSampleRequest(MakeRequest()) + extra));
-    EXPECT_FALSE(TryResponse(EncodeSampleResponse(MakeResponse()) + extra));
-    EXPECT_FALSE(TryUpdates(EncodeUpdateBatch(MakeUpdates()) + extra));
+    EXPECT_EQ(TryRequest(EncodeSampleRequest(MakeRequest()) + extra),
+              DecodeResult::kMalformed);
+    EXPECT_EQ(TryResponse(EncodeSampleResponse(MakeResponse()) + extra),
+              DecodeResult::kMalformed);
+    EXPECT_EQ(TryUpdates(EncodeUpdateBatch(MakeUpdates()) + extra),
+              DecodeResult::kMalformed);
   }
 }
 
@@ -113,13 +121,13 @@ TEST(WireFuzzTest, AbsurdCountsAreRejectedWithoutAllocating) {
     Append<std::uint8_t>(&bytes, 1);   // weighted
     Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);
     bytes += "xx";
-    EXPECT_FALSE(TryRequest(bytes));
+    EXPECT_EQ(TryRequest(bytes), DecodeResult::kMalformed);
   }
   {
     std::string bytes = "R";
     Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);  // seed count
     bytes += "xx";
-    EXPECT_FALSE(TryResponse(bytes));
+    EXPECT_EQ(TryResponse(bytes), DecodeResult::kMalformed);
   }
   {
     // Plausible seed count, absurd per-seed length prefix.
@@ -127,23 +135,24 @@ TEST(WireFuzzTest, AbsurdCountsAreRejectedWithoutAllocating) {
     Append<std::uint32_t>(&bytes, 1);
     Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);  // len of seed 0
     bytes += "xxxxxxxx";
-    EXPECT_FALSE(TryResponse(bytes));
+    EXPECT_EQ(TryResponse(bytes), DecodeResult::kMalformed);
   }
   {
     std::string bytes = "U";
     Append<std::uint32_t>(&bytes, 0xFFFFFFFFu);
     bytes += "xx";
-    EXPECT_FALSE(TryUpdates(bytes));
+    EXPECT_EQ(TryUpdates(bytes), DecodeResult::kMalformed);
   }
 }
 
 TEST(WireFuzzTest, WrongTagAndEmptyBufferAreRejected) {
-  EXPECT_FALSE(TryRequest(""));
-  EXPECT_FALSE(TryResponse(""));
-  EXPECT_FALSE(TryUpdates(""));
+  EXPECT_EQ(TryRequest(""), DecodeResult::kMalformed);
+  EXPECT_EQ(TryResponse(""), DecodeResult::kMalformed);
+  EXPECT_EQ(TryUpdates(""), DecodeResult::kMalformed);
   const std::string req = EncodeSampleRequest(MakeRequest());
-  EXPECT_FALSE(TryResponse(req)) << "request bytes are not a response";
-  EXPECT_FALSE(TryUpdates(req));
+  EXPECT_EQ(TryResponse(req), DecodeResult::kMalformed)
+      << "request bytes are not a response";
+  EXPECT_EQ(TryUpdates(req), DecodeResult::kMalformed);
 }
 
 // --- Bit-flip sweeps --------------------------------------------------------
@@ -161,7 +170,7 @@ void BitFlipSweep(const std::string& clean, DecodeFn decode, EncodeFn encode,
     for (int bit = 0; bit < 8; ++bit) {
       std::string mutated = clean;
       mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
-      if (!decode(mutated, scratch)) continue;
+      if (decode(mutated, scratch) != DecodeResult::kOk) continue;
       ++accepted;
       // Accepted ⇒ fully parsed: re-encoding must reproduce the mutated
       // bytes except where the codec canonicalises (the weighted bool),
@@ -171,7 +180,7 @@ void BitFlipSweep(const std::string& clean, DecodeFn decode, EncodeFn encode,
           << "byte " << byte << " bit " << bit
           << ": partial parse slipped through";
       Msg again;
-      ASSERT_TRUE(decode(re, &again));
+      ASSERT_EQ(decode(re, &again), DecodeResult::kOk);
     }
   }
   // Sanity: some payload flips survive (the sweep actually exercised the
@@ -222,17 +231,20 @@ TEST(WireFuzzTest, EmptyMessagesRoundTrip) {
   // Degenerate-but-valid messages stay valid: no seeds, no updates.
   SampleRequest req;
   SampleRequest req2;
-  ASSERT_TRUE(DecodeSampleRequest(EncodeSampleRequest(req), &req2));
+  ASSERT_EQ(DecodeSampleRequest(EncodeSampleRequest(req), &req2),
+            DecodeResult::kOk);
   EXPECT_EQ(req2, req);
 
   NeighborBatch empty;
   NeighborBatch out;
-  ASSERT_TRUE(DecodeSampleResponse(EncodeSampleResponse(empty), &out));
+  ASSERT_EQ(DecodeSampleResponse(EncodeSampleResponse(empty), &out),
+            DecodeResult::kOk);
   EXPECT_EQ(out.NumSeeds(), 0u);
 
   std::vector<EdgeUpdate> none;
   std::vector<EdgeUpdate> decoded;
-  ASSERT_TRUE(DecodeUpdateBatch(EncodeUpdateBatch(none), &decoded));
+  ASSERT_EQ(DecodeUpdateBatch(EncodeUpdateBatch(none), &decoded),
+            DecodeResult::kOk);
   EXPECT_TRUE(decoded.empty());
 }
 
@@ -242,7 +254,6 @@ using wire::DecodeRepAck;
 using wire::DecodeRepDigest;
 using wire::DecodeRepLogAppend;
 using wire::DecodeRepSnapshot;
-using wire::DecodeResult;
 using wire::EncodeRepAck;
 using wire::EncodeRepDigest;
 using wire::EncodeRepLogAppend;
