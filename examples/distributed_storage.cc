@@ -60,18 +60,21 @@ int main() {
   std::vector<VertexId> seeds;
   Xoshiro256 rng(11);
   for (int i = 0; i < 4096; ++i) seeds.push_back(rng.NextUint64(1u << 15));
-  const ClusterStats before = cluster.stats();
+  const obs::RegistrySnapshot before = cluster.metrics().Snapshot();
   Timer t;
   const NeighborBatch nb =
       cluster.SampleNeighbors(seeds, /*fanout=*/25, /*weighted=*/true,
                               /*seed=*/17);
-  const ClusterStats after = cluster.stats();
+  const obs::RegistrySnapshot after = cluster.metrics().Snapshot();
+  const auto delta = [&](const char* name) {
+    return static_cast<unsigned long long>(after.Value(name) -
+                                           before.Value(name));
+  };
   std::printf("\nsampled 25 neighbours for %zu seeds in %.1f ms compute "
               "+ %llu us virtual network (%llu RPCs for %zu seeds)\n",
               nb.NumSeeds(), t.ElapsedMillis(),
-              (unsigned long long)(after.virtual_network_us -
-                                   before.virtual_network_us),
-              (unsigned long long)(after.rpcs - before.rpcs), seeds.size());
+              delta("pd2gl_cluster_virtual_network_us"),
+              delta("pd2gl_cluster_rpcs"), seeds.size());
 
   // A per-seed (unbatched) design would have paid one RPC per seed:
   std::printf("an unbatched design would have paid %zu RPCs = %zu us of "

@@ -127,16 +127,17 @@ int main() {
               100.0 * before.accuracy, 100.0 * after.accuracy);
 
   // The operational view.
-  const ClusterStats& s = cluster.stats();
+  const obs::RegistrySnapshot s = cluster.metrics().Snapshot();
+  const std::uint64_t rpcs = s.Value("pd2gl_cluster_rpcs");
   std::printf("sampling RPCs: %llu (%.1f per minibatch; one round per hop, "
               "not per vertex)\n",
-              (unsigned long long)s.rpcs, s.rpcs / 62.0);
+              (unsigned long long)rpcs, rpcs / 62.0);
   std::printf("wire traffic:  %s sent, %s received\n",
-              HumanBytes(s.bytes_sent).c_str(),
-              HumanBytes(s.bytes_received).c_str());
+              HumanBytes(s.Value("pd2gl_cluster_bytes_sent")).c_str(),
+              HumanBytes(s.Value("pd2gl_cluster_bytes_received")).c_str());
   std::printf("virtual network time: %.1f ms; per-RPC compute p50/p99: "
               "%.0f/%.0f us\n",
-              s.virtual_network_us / 1e3,
+              s.Value("pd2gl_cluster_virtual_network_us") / 1e3,
               cluster.rpc_latency().PercentileMicros(50),
               cluster.rpc_latency().PercentileMicros(99));
   std::printf("feature cache: %.1f%% hit rate (%llu fetch RPCs avoided of "

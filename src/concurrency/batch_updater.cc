@@ -7,8 +7,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/profile.h"
-
 namespace platod2gl {
 
 BatchUpdater::BatchUpdater(TopologyStore* store, ThreadPool* pool)
@@ -16,8 +14,6 @@ BatchUpdater::BatchUpdater(TopologyStore* store, ThreadPool* pool)
 
 void BatchUpdater::ApplyBatch(std::vector<EdgeUpdate> batch) {
   if (batch.empty()) return;
-  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kBatchApply);
-
   // Phase 1 — sort an index array by (source, arrival position): cheaper
   // than moving 40-byte updates, and the position tiebreak keeps the
   // per-edge update order semantic (stable).
@@ -91,7 +87,6 @@ void BatchUpdater::ApplyBatch(std::vector<EdgeUpdate> batch) {
 }
 
 void BatchUpdater::ApplyBatchLatchBased(const std::vector<EdgeUpdate>& batch) {
-  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kBatchApply);
   // Blocked submission: ~8 blocks per worker keeps the task queue cold
   // while still letting the pool rebalance when a block lands on a run of
   // expensive updates (deep trees, splits).

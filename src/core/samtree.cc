@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "common/simd.h"
-#include "obs/profile.h"
 #include "core/alpha_split.h"
 
 namespace platod2gl {
@@ -678,9 +677,6 @@ BatchScratch& Scratch() {
 void Samtree::SampleWeightedBatch(std::size_t k, Xoshiro256& rng,
                                   std::vector<VertexId>* out) const {
   assert(root_ && "SampleWeightedBatch on an empty samtree");
-  // Batch granularity on purpose: a per-draw timer would cost a
-  // comparable order to the descent itself (obs/profile.h).
-  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kSamtreeDescent);
   if (k == 0) return;
   if (k < kBatchMinDraws) {
     out->reserve(out->size() + k);
@@ -744,7 +740,6 @@ void Samtree::SampleWeightedBatch(std::size_t k, Xoshiro256& rng,
 void Samtree::SampleUniformBatch(std::size_t k, Xoshiro256& rng,
                                  std::vector<VertexId>* out) const {
   assert(root_ && "SampleUniformBatch on an empty samtree");
-  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kSamtreeDescent);
   if (k == 0) return;
   if (k < kBatchMinDraws) {
     out->reserve(out->size() + k);

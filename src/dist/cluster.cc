@@ -33,51 +33,45 @@ GraphCluster::GraphCluster(ClusterConfig config)
       partitioner_(config.num_shards),
       pool_(config.num_client_threads),
       injector_(config.fault, config.num_shards) {
-  using S = ClusterStats;
-  counters_.rpcs = metrics_.BindCounter(&binding_, &S::rpcs,
-                                        "pd2gl_cluster_rpcs");
-  counters_.virtual_network_us = metrics_.BindCounter(
-      &binding_, &S::virtual_network_us, "pd2gl_cluster_virtual_network_us");
-  counters_.bytes_sent = metrics_.BindCounter(&binding_, &S::bytes_sent,
-                                              "pd2gl_cluster_bytes_sent");
-  counters_.bytes_received = metrics_.BindCounter(
-      &binding_, &S::bytes_received, "pd2gl_cluster_bytes_received");
-  counters_.retries = metrics_.BindCounter(&binding_, &S::retries,
-                                           "pd2gl_cluster_retries");
-  counters_.transient_faults = metrics_.BindCounter(
-      &binding_, &S::transient_faults, "pd2gl_cluster_transient_faults");
-  counters_.corrupt_responses = metrics_.BindCounter(
-      &binding_, &S::corrupt_responses, "pd2gl_cluster_corrupt_responses");
-  counters_.deadline_hits = metrics_.BindCounter(
-      &binding_, &S::deadline_hits, "pd2gl_cluster_deadline_hits");
-  counters_.crash_rejections = metrics_.BindCounter(
-      &binding_, &S::crash_rejections, "pd2gl_cluster_crash_rejections");
-  counters_.degraded_seeds = metrics_.BindCounter(
-      &binding_, &S::degraded_seeds, "pd2gl_cluster_degraded_seeds");
-  counters_.wal_handoffs = metrics_.BindCounter(
-      &binding_, &S::wal_handoffs, "pd2gl_cluster_wal_handoffs");
-  counters_.lost_updates = metrics_.BindCounter(
-      &binding_, &S::lost_updates, "pd2gl_cluster_lost_updates");
-  counters_.recoveries = metrics_.BindCounter(&binding_, &S::recoveries,
-                                              "pd2gl_cluster_recoveries");
-  counters_.replayed_updates = metrics_.BindCounter(
-      &binding_, &S::replayed_updates, "pd2gl_cluster_replayed_updates");
-  counters_.replica_read_seeds = metrics_.BindCounter(
-      &binding_, &S::replica_read_seeds, "pd2gl_cluster_replica_read_seeds");
-  counters_.stale_replica_seeds = metrics_.BindCounter(
-      &binding_, &S::stale_replica_seeds, "pd2gl_cluster_stale_replica_seeds");
-  counters_.failovers = metrics_.BindCounter(&binding_, &S::failovers,
-                                             "pd2gl_cluster_failovers");
-  counters_.failover_replayed = metrics_.BindCounter(
-      &binding_, &S::failover_replayed, "pd2gl_cluster_failover_replayed");
-  counters_.digest_rounds = metrics_.BindCounter(
-      &binding_, &S::digest_rounds, "pd2gl_cluster_digest_rounds");
-  counters_.digest_mismatches = metrics_.BindCounter(
-      &binding_, &S::digest_mismatches, "pd2gl_cluster_digest_mismatches");
-  counters_.antientropy_repairs = metrics_.BindCounter(
-      &binding_, &S::antientropy_repairs, "pd2gl_cluster_antientropy_repairs");
-  counters_.antientropy_edges = metrics_.BindCounter(
-      &binding_, &S::antientropy_edges, "pd2gl_cluster_antientropy_edges");
+  counters_.rpcs = metrics_.RegisterCounter("pd2gl_cluster_rpcs");
+  counters_.virtual_network_us =
+      metrics_.RegisterCounter("pd2gl_cluster_virtual_network_us");
+  counters_.bytes_sent = metrics_.RegisterCounter("pd2gl_cluster_bytes_sent");
+  counters_.bytes_received =
+      metrics_.RegisterCounter("pd2gl_cluster_bytes_received");
+  counters_.retries = metrics_.RegisterCounter("pd2gl_cluster_retries");
+  counters_.transient_faults =
+      metrics_.RegisterCounter("pd2gl_cluster_transient_faults");
+  counters_.corrupt_responses =
+      metrics_.RegisterCounter("pd2gl_cluster_corrupt_responses");
+  counters_.deadline_hits =
+      metrics_.RegisterCounter("pd2gl_cluster_deadline_hits");
+  counters_.crash_rejections =
+      metrics_.RegisterCounter("pd2gl_cluster_crash_rejections");
+  counters_.degraded_seeds =
+      metrics_.RegisterCounter("pd2gl_cluster_degraded_seeds");
+  counters_.wal_handoffs =
+      metrics_.RegisterCounter("pd2gl_cluster_wal_handoffs");
+  counters_.lost_updates =
+      metrics_.RegisterCounter("pd2gl_cluster_lost_updates");
+  counters_.recoveries = metrics_.RegisterCounter("pd2gl_cluster_recoveries");
+  counters_.replayed_updates =
+      metrics_.RegisterCounter("pd2gl_cluster_replayed_updates");
+  counters_.replica_read_seeds =
+      metrics_.RegisterCounter("pd2gl_cluster_replica_read_seeds");
+  counters_.stale_replica_seeds =
+      metrics_.RegisterCounter("pd2gl_cluster_stale_replica_seeds");
+  counters_.failovers = metrics_.RegisterCounter("pd2gl_cluster_failovers");
+  counters_.failover_replayed =
+      metrics_.RegisterCounter("pd2gl_cluster_failover_replayed");
+  counters_.digest_rounds =
+      metrics_.RegisterCounter("pd2gl_cluster_digest_rounds");
+  counters_.digest_mismatches =
+      metrics_.RegisterCounter("pd2gl_cluster_digest_mismatches");
+  counters_.antientropy_repairs =
+      metrics_.RegisterCounter("pd2gl_cluster_antientropy_repairs");
+  counters_.antientropy_edges =
+      metrics_.RegisterCounter("pd2gl_cluster_antientropy_edges");
   metrics_.RegisterExternalHistogram("pd2gl_cluster_rpc_compute_nanos", {},
                                      &rpc_latency_);
 
@@ -91,9 +85,7 @@ GraphCluster::GraphCluster(ClusterConfig config)
         metrics_.RegisterCounter("pd2gl_shard_sample_seeds", shard_label));
     shard_gather_counters_.push_back(
         metrics_.RegisterCounter("pd2gl_shard_gather_ids", shard_label));
-    if (SampleCache* cache = shards_.back()->store().sample_cache()) {
-      cache->RegisterWith(&metrics_, shard_label);
-    }
+    RegisterShardCache(i);
   }
   if (config_.replication.num_replicas > 0) {
     std::vector<GraphShard*> primaries;
@@ -105,12 +97,21 @@ GraphCluster::GraphCluster(ClusterConfig config)
   }
 }
 
+void GraphCluster::RegisterShardCache(std::size_t i) {
+  if (SampleCache* cache = shards_[i]->store().sample_cache()) {
+    cache->RegisterWith(&metrics_, {{"shard", std::to_string(i)}});
+  }
+}
+
 void GraphCluster::ReplicationHealthCheck() {
   if (!replication_) return;
   const ReplicationManager::HealthReport health =
       replication_->AdvanceTime(counters_.virtual_network_us->Value());
   counters_.failovers->Add(health.failovers);
   counters_.failover_replayed->Add(health.replayed_entries);
+  if (health.failovers == 0) return;
+  // A promotion installed a replica's store (and its cache) on the shard.
+  for (std::size_t i = 0; i < shards_.size(); ++i) RegisterShardCache(i);
 }
 
 void GraphCluster::PumpReplication() {
@@ -618,12 +619,14 @@ MultiGatherReport GraphCluster::GatherMany(
 void GraphCluster::CrashShard(std::size_t i) {
   injector_.CrashShard(i);
   shards_[i]->Crash();
+  RegisterShardCache(i);
 }
 
 Status GraphCluster::RecoverShard(std::size_t i) {
   std::size_t replayed = 0;
   Status s = shards_[i]->Recover(&replayed);
   if (!s.ok()) return s;
+  RegisterShardCache(i);
   injector_.RestoreShard(i);
   counters_.recoveries->Add();
   counters_.replayed_updates->Add(replayed);

@@ -78,38 +78,6 @@ struct ClusterConfig {
   ReplicationConfig replication;
 };
 
-/// Point-in-time snapshot of the cluster's transport counters. Filled
-/// from the pd2gl_cluster_* registry series by GraphCluster::stats() —
-/// the registry (GraphCluster::metrics()) is the live, exportable home.
-struct ClusterStats {
-  std::uint64_t rpcs = 0;  ///< attempts, including retried/failed ones
-  std::uint64_t virtual_network_us = 0;
-  /// Wire-format sizes the RPCs would have shipped: the wire::*Bytes
-  /// functions next to the encoders in dist/wire.h.
-  std::uint64_t bytes_sent = 0;      ///< client -> shards (requests)
-  std::uint64_t bytes_received = 0;  ///< shards -> client (responses)
-  // --- fault-tolerance observability ---
-  std::uint64_t retries = 0;           ///< re-attempts after a failure
-  std::uint64_t transient_faults = 0;  ///< injected fail/timeout/corrupt hits
-  std::uint64_t corrupt_responses = 0; ///< responses dropped by the codec
-  std::uint64_t deadline_hits = 0;     ///< calls abandoned at the deadline
-  std::uint64_t crash_rejections = 0;  ///< attempts refused by a dead shard
-  std::uint64_t degraded_seeds = 0;    ///< seeds returned empty-degraded
-  std::uint64_t wal_handoffs = 0;      ///< updates durably logged while down
-  std::uint64_t lost_updates = 0;      ///< updates undeliverable AND unlogged
-  std::uint64_t recoveries = 0;        ///< RecoverShard completions
-  std::uint64_t replayed_updates = 0;  ///< WAL entries replayed on recovery
-  // --- replication observability (docs/replication.md) ---
-  std::uint64_t replica_read_seeds = 0;  ///< seeds served by replica fallback
-  std::uint64_t stale_replica_seeds = 0; ///< ...of those, behind the primary
-  std::uint64_t failovers = 0;           ///< replica promotions
-  std::uint64_t failover_replayed = 0;   ///< WAL entries replayed at promotion
-  std::uint64_t digest_rounds = 0;       ///< anti-entropy comparisons run
-  std::uint64_t digest_mismatches = 0;   ///< digest buckets that disagreed
-  std::uint64_t antientropy_repairs = 0; ///< replicas repaired by a round
-  std::uint64_t antientropy_edges = 0;   ///< edges re-shipped by repairs
-};
-
 /// Batched sampling result plus per-seed delivery status: `batch` always
 /// has one (possibly empty) range per seed, `seed_status[i]` says whether
 /// seed i's range is authoritative or a degraded empty marker.
@@ -150,8 +118,8 @@ struct GatherWorkItem {
 
 /// Result of one cross-request round: one report per work item plus the
 /// round's virtual wall time — the max across the per-shard RPCs, since
-/// they fan out in parallel (vs. stats().virtual_network_us, which sums
-/// every RPC's cost).
+/// they fan out in parallel (vs. pd2gl_cluster_virtual_network_us, which
+/// sums every RPC's cost).
 struct MultiSampleReport {
   std::vector<SampleReport> reports;
   std::uint64_t round_virtual_us = 0;
@@ -184,7 +152,8 @@ class GraphCluster {
   /// per non-empty shard, executed in parallel. Updates owned by a crashed
   /// shard are durably appended to its WAL (hinted handoff, replayed by
   /// RecoverShard); transient RPC faults are retried. Non-OK reports
-  /// updates that were lost past the retry budget (stats().lost_updates).
+  /// updates that were lost past the retry budget
+  /// (pd2gl_cluster_lost_updates).
   Status ApplyBatch(const std::vector<EdgeUpdate>& batch);
 
   /// Batched neighbour sampling across shards: seeds are grouped by owner,
@@ -197,7 +166,7 @@ class GraphCluster {
                                       std::uint64_t seed, EdgeType type = 0);
 
   /// Back-compat convenience: the batch alone. Degradation is still
-  /// visible in stats().degraded_seeds.
+  /// visible in pd2gl_cluster_degraded_seeds.
   NeighborBatch SampleNeighbors(const std::vector<VertexId>& seeds,
                                 std::size_t fanout, bool weighted,
                                 std::uint64_t seed, EdgeType type = 0) {
@@ -253,7 +222,7 @@ class GraphCluster {
 
   /// Advance the virtual clock by `us` and run the replica health monitor:
   /// suspicion starts/ages here, and a primary crashed past the suspicion
-  /// timeout is failed over (stats().failovers).
+  /// timeout is failed over (pd2gl_cluster_failovers).
   void AdvanceVirtualTime(std::uint64_t us);
 
   /// Ship until every reachable replica is caught up (see
@@ -261,7 +230,7 @@ class GraphCluster {
   Status FlushReplication();
 
   /// One anti-entropy digest round over every shard; outcomes are also
-  /// accumulated into stats().
+  /// accumulated into the pd2gl_cluster_digest_* / antientropy_* series.
   ReplicationManager::AntiEntropyReport RunAntiEntropy();
 
   /// Kill replica r of shard s: its store is wiped; after RecoverReplica
@@ -278,11 +247,6 @@ class GraphCluster {
   /// epoch() counts completed promotions.
   EpochCoordinator& cutover() { return cutover_; }
 
-  /// Transport-level replication counters (zeros when disabled).
-  ReplicationStats replication_stats() const {
-    return replication_ ? replication_->stats() : ReplicationStats{};
-  }
-
   /// Degree/NumEdges read the live stores directly; a crashed shard
   /// contributes its wiped (empty) store until recovered.
   std::size_t Degree(VertexId src, EdgeType type = 0) const;
@@ -293,11 +257,9 @@ class GraphCluster {
   std::size_t num_shards() const { return shards_.size(); }
 
   const Partitioner& partitioner() const { return partitioner_; }
-  /// Snapshot of the transport counters (one shared registry fill loop —
-  /// see obs::StatsBinding).
-  ClusterStats stats() const { return binding_.Read(); }
 
-  /// The cluster's metric registry: pd2gl_cluster_* transport counters,
+  /// The cluster's metric registry — the one place its numbers are read:
+  /// pd2gl_cluster_* transport counters,
   /// per-shard load series (pd2gl_shard_*{shard="i"}), the RPC compute
   /// histogram, pd2gl_replication_* (when replication is on), and
   /// per-shard sample-cache series (when the cache is on).
@@ -380,17 +342,20 @@ class GraphCluster {
                             const std::vector<EdgeUpdate>& batch,
                             const std::vector<std::size_t>& positions);
 
+  /// Point shard i's pd2gl_sample_cache_*{shard="i"} series at the cache
+  /// of the store it serves now. Crash, recovery and promotion replace a
+  /// shard's store, and the registry must never read a destroyed cache;
+  /// the series restart from the new cache's counts.
+  void RegisterShardCache(std::size_t i);
+
   /// Ship outstanding WAL entries and run the failover health monitor
   /// against the current virtual clock (serial sections only).
   void PumpReplication();
   /// Health monitor only (read paths: nothing new to ship).
   void ReplicationHealthCheck();
 
-  // Registry-owned transport counters (pd2gl_cluster_*), bound onto
-  // ClusterStats members at construction; stats() is binding_.Read().
-  // All bumps happen in serial sections (outcome merges), exactly like
-  // the plain fields they replace — the registry just makes them named
-  // and exportable.
+  // Registry-owned transport counters (pd2gl_cluster_*). All bumps
+  // happen in serial sections (outcome merges).
   struct Counters {
     obs::Counter* rpcs = nullptr;
     obs::Counter* virtual_network_us = nullptr;
@@ -423,7 +388,6 @@ class GraphCluster {
   FaultInjector injector_;
   // Declared before replication_ so it outlives the manager's series.
   obs::MetricRegistry metrics_;
-  obs::StatsBinding<ClusterStats> binding_;
   Counters counters_;
   /// Per-shard load series, {shard="i"}-labelled: seeds routed to each
   /// shard by sampling/traversal rounds and ids by gather rounds. The

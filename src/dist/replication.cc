@@ -8,7 +8,6 @@
 
 #include "common/crc32.h"
 #include "io/checkpoint.h"
-#include "obs/profile.h"
 
 namespace platod2gl {
 
@@ -155,39 +154,34 @@ ReplicationManager::ReplicationManager(const ReplicationConfig& config,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = ReplicationStats;
-  counters_.ship_rounds = metrics_->BindCounter(
-      &binding_, &S::ship_rounds, "pd2gl_replication_ship_rounds");
-  counters_.append_messages = metrics_->BindCounter(
-      &binding_, &S::append_messages, "pd2gl_replication_append_messages");
-  counters_.ack_messages = metrics_->BindCounter(
-      &binding_, &S::ack_messages, "pd2gl_replication_ack_messages");
-  counters_.bytes_shipped = metrics_->BindCounter(
-      &binding_, &S::bytes_shipped, "pd2gl_replication_bytes_shipped");
-  counters_.entries_applied = metrics_->BindCounter(
-      &binding_, &S::entries_applied, "pd2gl_replication_entries_applied");
-  counters_.duplicate_entries = metrics_->BindCounter(
-      &binding_, &S::duplicate_entries, "pd2gl_replication_duplicate_entries");
-  counters_.rejected_appends = metrics_->BindCounter(
-      &binding_, &S::rejected_appends, "pd2gl_replication_rejected_appends");
-  counters_.dropped_messages = metrics_->BindCounter(
-      &binding_, &S::dropped_messages, "pd2gl_replication_dropped_messages");
+  counters_.ship_rounds =
+      metrics_->RegisterCounter("pd2gl_replication_ship_rounds");
+  counters_.append_messages =
+      metrics_->RegisterCounter("pd2gl_replication_append_messages");
+  counters_.ack_messages =
+      metrics_->RegisterCounter("pd2gl_replication_ack_messages");
+  counters_.bytes_shipped =
+      metrics_->RegisterCounter("pd2gl_replication_bytes_shipped");
+  counters_.entries_applied =
+      metrics_->RegisterCounter("pd2gl_replication_entries_applied");
+  counters_.duplicate_entries =
+      metrics_->RegisterCounter("pd2gl_replication_duplicate_entries");
+  counters_.rejected_appends =
+      metrics_->RegisterCounter("pd2gl_replication_rejected_appends");
+  counters_.dropped_messages =
+      metrics_->RegisterCounter("pd2gl_replication_dropped_messages");
   counters_.duplicated_messages =
-      metrics_->BindCounter(&binding_, &S::duplicated_messages,
-                            "pd2gl_replication_duplicated_messages");
-  counters_.reordered_messages = metrics_->BindCounter(
-      &binding_, &S::reordered_messages, "pd2gl_replication_reordered_messages");
+      metrics_->RegisterCounter("pd2gl_replication_duplicated_messages");
+  counters_.reordered_messages =
+      metrics_->RegisterCounter("pd2gl_replication_reordered_messages");
   counters_.snapshot_bootstraps =
-      metrics_->BindCounter(&binding_, &S::snapshot_bootstraps,
-                            "pd2gl_replication_snapshot_bootstraps");
+      metrics_->RegisterCounter("pd2gl_replication_snapshot_bootstraps");
   counters_.unimplemented_peers =
-      metrics_->BindCounter(&binding_, &S::unimplemented_peers,
-                            "pd2gl_replication_unimplemented_peers");
+      metrics_->RegisterCounter("pd2gl_replication_unimplemented_peers");
   counters_.replica_apply_nanos =
-      metrics_->BindCounter(&binding_, &S::replica_apply_nanos,
-                            "pd2gl_replication_replica_apply_nanos");
-  counters_.pump_cpu_nanos = metrics_->BindCounter(
-      &binding_, &S::pump_cpu_nanos, "pd2gl_replication_pump_cpu_nanos");
+      metrics_->RegisterCounter("pd2gl_replication_replica_apply_nanos");
+  counters_.pump_cpu_nanos =
+      metrics_->RegisterCounter("pd2gl_replication_pump_cpu_nanos");
   if (config_.num_replicas > FaultInjector::kMaxReplicas) {
     config_.num_replicas = FaultInjector::kMaxReplicas;
   }
@@ -271,7 +265,6 @@ void ReplicationManager::Ship(std::size_t shard, bool allow_bootstrap) {
 
 void ReplicationManager::ShipLocked(std::size_t shard, ShardRep& sr,
                                     bool allow_bootstrap) {
-  PD2GL_PROFILE_SCOPE(obs::ProfileSite::kWalShip);
   (void)allow_bootstrap;
   GraphShard* pri = primaries_[shard];
   const std::uint64_t head = pri->wal_seq();
@@ -736,8 +729,6 @@ bool ReplicationManager::CorruptReplicaEdgeForTest(std::size_t shard,
   rep.store->Apply(EdgeUpdate{UpdateKind::kInPlaceUpdate, victim});
   return true;
 }
-
-ReplicationStats ReplicationManager::stats() const { return binding_.Read(); }
 
 Status ReplicationManager::SnapshotReplica(std::size_t shard,
                                            std::size_t replica,

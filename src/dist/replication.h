@@ -81,34 +81,6 @@ struct ReplicationConfig {
   bool async_ship = false;
 };
 
-/// Transport-level counters (registry-backed; snapshot via
-/// ReplicationManager::stats() or the pd2gl_replication_* series of the
-/// bound MetricRegistry).
-struct ReplicationStats {
-  std::uint64_t ship_rounds = 0;        ///< Ship() passes over a shard
-  std::uint64_t append_messages = 0;    ///< RepLogAppend messages encoded
-  std::uint64_t ack_messages = 0;       ///< RepAck messages encoded
-  std::uint64_t bytes_shipped = 0;      ///< encoded bytes on all channels
-  std::uint64_t entries_applied = 0;    ///< WAL entries applied at replicas
-  std::uint64_t duplicate_entries = 0;  ///< entries skipped as <= applied
-  std::uint64_t rejected_appends = 0;   ///< messages refused (gap after drop/reorder)
-  std::uint64_t dropped_messages = 0;   ///< injected kDrop faults taken
-  std::uint64_t duplicated_messages = 0;///< injected kDuplicate faults taken
-  std::uint64_t reordered_messages = 0; ///< injected kReorder faults taken
-  std::uint64_t snapshot_bootstraps = 0;///< RepSnapshot images applied
-  std::uint64_t unimplemented_peers = 0;///< replicas excluded by version
-  /// CPU nanoseconds spent doing the *replica's* side of replication —
-  /// decoding appends and applying entries / snapshot images to replica
-  /// stores. In a deployment this burns the replica machine's cores, not
-  /// the primary's; bench_replication subtracts it to price what
-  /// replication costs the ingest path itself on a shared-host simulation.
-  std::uint64_t replica_apply_nanos = 0;
-  /// Total CPU nanoseconds burnt by the async pump thread (0 in sync
-  /// mode). pump_cpu_nanos - replica_apply_nanos is the primary-side ship
-  /// cost: window copies, encoding, fault draws, ack handling.
-  std::uint64_t pump_cpu_nanos = 0;
-};
-
 /// The primary-side acked watermark for one shard: a monotonic sequence
 /// number raised by incoming acks, with a blocking wait. Kept minimal and
 /// public so the schedcheck lost-wakeup scenario can drive it directly:
@@ -166,7 +138,7 @@ class ReplicationManager {
   /// `primaries`, `injector` and `cutover` must outlive the manager.
   /// `metrics` (optional, must outlive the manager when given) is where
   /// the pd2gl_replication_* series are registered; null means a private
-  /// registry (stats() works either way).
+  /// registry (read it through metrics()).
   ReplicationManager(const ReplicationConfig& config,
                      const GraphStoreConfig& store_config,
                      std::vector<GraphShard*> primaries,
@@ -234,7 +206,6 @@ class ReplicationManager {
 
   // --- Observability ------------------------------------------------------
 
-  ReplicationStats stats() const;
   std::vector<ReplicaProbe> Probe(std::size_t shard);
   /// Serialize a replica's store (io/checkpoint byte format) — the
   /// byte-for-byte comparison hook for tests and `pd2gl verify-store`.
@@ -300,29 +271,35 @@ class ReplicationManager {
   EpochCoordinator* cutover_;
   std::vector<std::unique_ptr<ShardRep>> reps_;
 
-  // Transport counters: registry-owned obs::Counter series
-  // (pd2gl_replication_*), each bound onto its ReplicationStats member at
-  // construction so stats() is the binding's shared fill loop — no
-  // hand-rolled per-field copy.
+  // Transport counters: registry-owned obs::Counter series, each
+  // registered as pd2gl_replication_<member>.
   struct Counters {
-    obs::Counter* ship_rounds = nullptr;
-    obs::Counter* append_messages = nullptr;
-    obs::Counter* ack_messages = nullptr;
-    obs::Counter* bytes_shipped = nullptr;
-    obs::Counter* entries_applied = nullptr;
-    obs::Counter* duplicate_entries = nullptr;
-    obs::Counter* rejected_appends = nullptr;
-    obs::Counter* dropped_messages = nullptr;
-    obs::Counter* duplicated_messages = nullptr;
-    obs::Counter* reordered_messages = nullptr;
-    obs::Counter* snapshot_bootstraps = nullptr;
-    obs::Counter* unimplemented_peers = nullptr;
+    obs::Counter* ship_rounds = nullptr;      ///< Ship() passes over a shard
+    obs::Counter* append_messages = nullptr;  ///< RepLogAppend encoded
+    obs::Counter* ack_messages = nullptr;     ///< RepAck encoded
+    obs::Counter* bytes_shipped = nullptr;    ///< encoded, all channels
+    obs::Counter* entries_applied = nullptr;  ///< applied at replicas
+    obs::Counter* duplicate_entries = nullptr;  ///< skipped as <= applied
+    obs::Counter* rejected_appends = nullptr;   ///< gap after drop/reorder
+    obs::Counter* dropped_messages = nullptr;   ///< injected kDrop taken
+    obs::Counter* duplicated_messages = nullptr;  ///< injected kDuplicate
+    obs::Counter* reordered_messages = nullptr;   ///< injected kReorder
+    obs::Counter* snapshot_bootstraps = nullptr;  ///< RepSnapshot applied
+    obs::Counter* unimplemented_peers = nullptr;  ///< excluded by version
+    /// CPU nanoseconds spent doing the *replica's* side of replication —
+    /// decoding appends and applying entries / snapshot images to replica
+    /// stores. In a deployment this burns the replica machine's cores, not
+    /// the primary's; bench_replication subtracts it to price what
+    /// replication costs the ingest path itself on a shared-host
+    /// simulation.
     obs::Counter* replica_apply_nanos = nullptr;
+    /// Total CPU nanoseconds burnt by the async pump thread (0 in sync
+    /// mode). pump_cpu_nanos - replica_apply_nanos is the primary-side
+    /// ship cost: window copies, encoding, fault draws, ack handling.
     obs::Counter* pump_cpu_nanos = nullptr;
   };
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;  ///< when none given
   obs::MetricRegistry* metrics_;
-  obs::StatsBinding<ReplicationStats> binding_;
   Counters counters_;
 
   // Async pump (constructed only when config_.async_ship).

@@ -1,10 +1,8 @@
 // MetricRegistry: one canonical, exportable home for every number in the
 // system (DESIGN.md §15, docs/observability.md).
 //
-// Before this layer each subsystem grew its own ad-hoc stats struct
-// (ClusterStats, ReplicationStats, IngestorStats, the serve tallies...)
-// with a hand-rolled load loop per struct and no common export path. The
-// registry replaces those with named, labelled series:
+// Every subsystem registers its tallies here as named, labelled series,
+// and callers read them back from Snapshot() (Value / SumAcrossLabels):
 //
 //  * Counter — a monotone relaxed atomic tally, the histogram.h recording
 //    discipline generalised: Add() is one relaxed fetch_add from any
@@ -25,11 +23,6 @@
 // many clusters/servers side by side, and determinism demands their
 // numbers never bleed into each other. Subsystems own (or borrow) a
 // registry and export through it.
-//
-// StatsBinding<S> is the dedup path for the legacy snapshot structs: a
-// subsystem maps each registered counter onto a member of its public
-// stats struct once, and stats() becomes a single shared fill loop — the
-// per-struct hand-rolled load loops are gone.
 #pragma once
 
 #include <cassert>
@@ -132,29 +125,6 @@ struct RegistrySnapshot {
   void MergeFrom(const RegistrySnapshot& other);
 };
 
-/// Maps registered counters onto the members of a legacy stats struct S,
-/// so the subsystem's stats() is one shared fill loop instead of a
-/// hand-rolled per-struct copy.
-template <typename S>
-class StatsBinding {
- public:
-  void Map(const Counter* c, std::uint64_t S::*field) {
-    fields_.push_back(Entry{c, field});
-  }
-  S Read() const {
-    S s{};
-    for (const Entry& e : fields_) s.*(e.field) = e.counter->Value();
-    return s;
-  }
-
- private:
-  struct Entry {
-    const Counter* counter;
-    std::uint64_t S::*field;
-  };
-  std::vector<Entry> fields_;
-};
-
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -167,16 +137,6 @@ class MetricRegistry {
   Counter* RegisterCounter(std::string name, Labels labels = {});
   Gauge* RegisterGauge(std::string name, Labels labels = {});
   LatencyHistogram* RegisterHistogram(std::string name, Labels labels = {});
-
-  /// Register a counter AND map it onto a stats-struct member in one
-  /// step — the migration one-liner for legacy stats() structs.
-  template <typename S>
-  Counter* BindCounter(StatsBinding<S>* binding, std::uint64_t S::*field,
-                       std::string name, Labels labels = {}) {
-    Counter* c = RegisterCounter(std::move(name), std::move(labels));
-    binding->Map(c, field);
-    return c;
-  }
 
   /// Borrowed series: the metric object lives inside a subsystem (e.g.
   /// SampleCache's tallies) and must outlive the registry entry.

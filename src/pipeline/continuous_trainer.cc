@@ -57,13 +57,4 @@ std::vector<ContinuousTrainer::StepReport> ContinuousTrainer::Run(
   return reports;
 }
 
-PipelineStats ContinuousTrainer::Stats() const {
-  PipelineStats s;
-  s.ingest = ingestor_->Stats();
-  s.batcher = batcher_->Stats();
-  s.epoch = epochs_->epoch();
-  s.staleness = Staleness();
-  return s;
-}
-
 }  // namespace platod2gl

@@ -41,14 +41,6 @@ struct ContinuousTrainerConfig {
   bool refresh_node_sampler = true;
 };
 
-/// One-stop observable snapshot of the whole pipeline.
-struct PipelineStats {
-  IngestorStats ingest;
-  MicroBatcherStats batcher;
-  std::uint64_t epoch = 0;      ///< applied micro-batches
-  std::uint64_t staleness = 0;  ///< ingest watermark - applied watermark
-};
-
 class ContinuousTrainer {
  public:
   /// All collaborators are borrowed and must outlive the driver.
@@ -77,8 +69,6 @@ class ContinuousTrainer {
 
   /// Current ingest-vs-applied event-time lag.
   std::uint64_t Staleness() const;
-
-  PipelineStats Stats() const;
 
  private:
   UpdateIngestor* ingestor_;

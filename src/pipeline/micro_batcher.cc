@@ -56,19 +56,18 @@ MicroBatcher::MicroBatcher(GraphStore* graph, ThreadPool* pool,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = MicroBatcherStats;
-  counters_.batches_applied = metrics_->BindCounter(
-      &binding_, &S::batches_applied, "pd2gl_micro_batcher_batches_applied");
-  counters_.updates_ingested = metrics_->BindCounter(
-      &binding_, &S::updates_ingested, "pd2gl_micro_batcher_updates_ingested");
-  counters_.updates_applied = metrics_->BindCounter(
-      &binding_, &S::updates_applied, "pd2gl_micro_batcher_updates_applied");
-  counters_.coalesced = metrics_->BindCounter(
-      &binding_, &S::coalesced, "pd2gl_micro_batcher_coalesced");
-  counters_.log_rejected = metrics_->BindCounter(
-      &binding_, &S::log_rejected, "pd2gl_micro_batcher_log_rejected");
-  counters_.invalid_dropped = metrics_->BindCounter(
-      &binding_, &S::invalid_dropped, "pd2gl_micro_batcher_invalid_dropped");
+  counters_.batches_applied =
+      metrics_->RegisterCounter("pd2gl_micro_batcher_batches_applied");
+  counters_.updates_ingested =
+      metrics_->RegisterCounter("pd2gl_micro_batcher_updates_ingested");
+  counters_.updates_applied =
+      metrics_->RegisterCounter("pd2gl_micro_batcher_updates_applied");
+  counters_.coalesced =
+      metrics_->RegisterCounter("pd2gl_micro_batcher_coalesced");
+  counters_.log_rejected =
+      metrics_->RegisterCounter("pd2gl_micro_batcher_log_rejected");
+  counters_.invalid_dropped =
+      metrics_->RegisterCounter("pd2gl_micro_batcher_invalid_dropped");
 }
 
 std::size_t MicroBatcher::Coalesce(std::vector<EdgeUpdate>* batch) {
@@ -210,7 +209,13 @@ std::size_t MicroBatcher::Flush() {
 }
 
 MicroBatcherStats MicroBatcher::Stats() const {
-  MicroBatcherStats s = binding_.Read();
+  MicroBatcherStats s;
+  s.batches_applied = counters_.batches_applied->Value();
+  s.updates_ingested = counters_.updates_ingested->Value();
+  s.updates_applied = counters_.updates_applied->Value();
+  s.coalesced = counters_.coalesced->Value();
+  s.log_rejected = counters_.log_rejected->Value();
+  s.invalid_dropped = counters_.invalid_dropped->Value();
   s.applied_watermark = applied_watermark();
   s.pending = pending_size_.load(std::memory_order_acquire);
   return s;

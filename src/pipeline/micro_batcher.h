@@ -43,8 +43,8 @@ struct MicroBatcherConfig {
   std::size_t min_batch = 1;     ///< accumulate until this many (unforced)
 };
 
-/// Monotonic counters (registry-backed, mirrored out via the shared
-/// obs::StatsBinding fill loop) + point-in-time watermark/depth.
+/// Monotonic counters (read from the registry series) + point-in-time
+/// watermark/depth.
 struct MicroBatcherStats {
   std::uint64_t batches_applied = 0;
   std::uint64_t updates_ingested = 0;   ///< raw updates drained
@@ -113,7 +113,6 @@ class MicroBatcher {
   std::vector<std::unique_ptr<BatchUpdater>> updaters_;  // one per relation
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::StatsBinding<MicroBatcherStats> binding_;
   Counters counters_;
 
   // Consumer-thread state: drained-but-unapplied updates in (ts, seq)

@@ -18,17 +18,12 @@ UpdateIngestor::UpdateIngestor(IngestorConfig config,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = IngestorStats;
-  counters_.accepted =
-      metrics_->BindCounter(&binding_, &S::accepted, "pd2gl_ingest_accepted");
-  counters_.rejected =
-      metrics_->BindCounter(&binding_, &S::rejected, "pd2gl_ingest_rejected");
-  counters_.dropped =
-      metrics_->BindCounter(&binding_, &S::dropped, "pd2gl_ingest_dropped");
-  counters_.invalid =
-      metrics_->BindCounter(&binding_, &S::invalid, "pd2gl_ingest_invalid");
-  counters_.closed_rejects = metrics_->BindCounter(
-      &binding_, &S::closed_rejects, "pd2gl_ingest_closed_rejects");
+  counters_.accepted = metrics_->RegisterCounter("pd2gl_ingest_accepted");
+  counters_.rejected = metrics_->RegisterCounter("pd2gl_ingest_rejected");
+  counters_.dropped = metrics_->RegisterCounter("pd2gl_ingest_dropped");
+  counters_.invalid = metrics_->RegisterCounter("pd2gl_ingest_invalid");
+  counters_.closed_rejects =
+      metrics_->RegisterCounter("pd2gl_ingest_closed_rejects");
 }
 
 UpdateIngestor::~UpdateIngestor() { Close(); }
@@ -142,13 +137,6 @@ std::size_t UpdateIngestor::DrainAll(std::vector<IngestedUpdate>* out) {
     for (auto& shard : shards_) shard->space_cv.notify_all();
   }
   return drained;
-}
-
-IngestorStats UpdateIngestor::Stats() const {
-  IngestorStats s = binding_.Read();
-  s.watermark = watermark();
-  s.queued = QueueDepth();
-  return s;
 }
 
 }  // namespace platod2gl

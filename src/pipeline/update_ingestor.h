@@ -57,17 +57,6 @@ struct IngestorConfig {
   std::size_t num_relations = 0;
 };
 
-/// Monotonic counters + a point-in-time queue snapshot.
-struct IngestorStats {
-  std::uint64_t accepted = 0;      ///< offers that entered a queue
-  std::uint64_t rejected = 0;      ///< kReject policy refusals (queue full)
-  std::uint64_t dropped = 0;       ///< kDropOldest evictions
-  std::uint64_t invalid = 0;       ///< bad edge type, refused at the door
-  std::uint64_t closed_rejects = 0;  ///< offers after Close()
-  std::uint64_t watermark = 0;     ///< newest accepted event timestamp
-  std::size_t queued = 0;          ///< updates currently waiting
-};
-
 /// An accepted update plus its admission sequence number (the global
 /// arrival tiebreak for equal timestamps).
 struct IngestedUpdate {
@@ -78,7 +67,8 @@ struct IngestedUpdate {
 class UpdateIngestor {
  public:
   /// `metrics` hosts the pd2gl_ingest_* series so one registry can cover
-  /// the whole pipeline; when null the ingestor owns a private registry.
+  /// the whole pipeline; when null the ingestor owns a private registry
+  /// (its counts are then not readable from outside).
   explicit UpdateIngestor(IngestorConfig config = {},
                           obs::MetricRegistry* metrics = nullptr);
   ~UpdateIngestor();
@@ -124,8 +114,6 @@ class UpdateIngestor {
     return queued_.load(std::memory_order_acquire);
   }
 
-  IngestorStats Stats() const;
-
   const IngestorConfig& config() const { return config_; }
 
  private:
@@ -135,13 +123,13 @@ class UpdateIngestor {
     std::deque<IngestedUpdate> queue GUARDED_BY(mu);
   };
 
-  /// Registry-backed monotone tallies (pd2gl_ingest_*).
+  /// Registry-backed monotone tallies (pd2gl_ingest_<member>).
   struct Counters {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* dropped = nullptr;
-    obs::Counter* invalid = nullptr;
-    obs::Counter* closed_rejects = nullptr;
+    obs::Counter* accepted = nullptr;  ///< offers that entered a queue
+    obs::Counter* rejected = nullptr;  ///< kReject refusals (queue full)
+    obs::Counter* dropped = nullptr;   ///< kDropOldest evictions
+    obs::Counter* invalid = nullptr;   ///< bad edge type, refused at the door
+    obs::Counter* closed_rejects = nullptr;  ///< offers after Close()
   };
 
   Shard& ShardFor(const EdgeUpdate& u);
@@ -151,7 +139,6 @@ class UpdateIngestor {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::StatsBinding<IngestorStats> binding_;
   Counters counters_;
   // STATE atomics stay sched::Atomic (== std::atomic in production;
   // under PD2GL_SCHEDCHECK every access is a schedule point so the

@@ -60,7 +60,6 @@
 
 #include "obs/export.h"   // IWYU pragma: export
 #include "obs/metrics.h"  // IWYU pragma: export
-#include "obs/profile.h"  // IWYU pragma: export
 #include "obs/trace.h"    // IWYU pragma: export
 
 #include "serve/admission.h"        // IWYU pragma: export

@@ -16,17 +16,15 @@ AdmissionController::AdmissionController(AdmissionConfig config,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = AdmissionStats;
-  counters_.admitted =
-      metrics_->BindCounter(&binding_, &S::admitted, "pd2gl_admission_admitted");
-  counters_.window_rejects = metrics_->BindCounter(
-      &binding_, &S::window_rejects, "pd2gl_admission_window_rejects");
-  counters_.quota_rejects = metrics_->BindCounter(
-      &binding_, &S::quota_rejects, "pd2gl_admission_quota_rejects");
-  counters_.closed_rejects = metrics_->BindCounter(
-      &binding_, &S::closed_rejects, "pd2gl_admission_closed_rejects");
-  counters_.blocked_waits = metrics_->BindCounter(
-      &binding_, &S::blocked_waits, "pd2gl_admission_blocked_waits");
+  counters_.admitted = metrics_->RegisterCounter("pd2gl_admission_admitted");
+  counters_.window_rejects =
+      metrics_->RegisterCounter("pd2gl_admission_window_rejects");
+  counters_.quota_rejects =
+      metrics_->RegisterCounter("pd2gl_admission_quota_rejects");
+  counters_.closed_rejects =
+      metrics_->RegisterCounter("pd2gl_admission_closed_rejects");
+  counters_.blocked_waits =
+      metrics_->RegisterCounter("pd2gl_admission_blocked_waits");
 }
 
 bool AdmissionController::HasRoom(std::uint32_t tenant) const {
@@ -114,12 +112,6 @@ void AdmissionController::Close() {
   // lock for the same lost-wakeup reason as Release().
   MutexLock lock(mu_);
   space_cv_.notify_all();
-}
-
-AdmissionStats AdmissionController::Stats() const {
-  AdmissionStats s = binding_.Read();
-  s.in_flight = in_flight();
-  return s;
 }
 
 }  // namespace platod2gl::serve

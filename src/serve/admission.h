@@ -53,16 +53,6 @@ struct AdmissionConfig {
   AdmissionPolicy policy = AdmissionPolicy::kReject;
 };
 
-/// Monotonic counters + a point-in-time window snapshot.
-struct AdmissionStats {
-  std::uint64_t admitted = 0;
-  std::uint64_t window_rejects = 0;  ///< probes refused: window full
-  std::uint64_t quota_rejects = 0;   ///< probes refused: tenant over quota
-  std::uint64_t closed_rejects = 0;  ///< probes after Close()
-  std::uint64_t blocked_waits = 0;   ///< kBlock submitters that had to wait
-  std::size_t in_flight = 0;         ///< admitted - released right now
-};
-
 class AdmissionController {
  public:
   enum class Verdict : std::uint8_t {
@@ -73,8 +63,8 @@ class AdmissionController {
   };
 
   /// `metrics` hosts the pd2gl_admission_* series; the GraphServer passes
-  /// its own registry so one snapshot covers the whole serving stack. A
-  /// standalone controller (tests) owns a private registry instead.
+  /// its own registry so one snapshot covers the whole serving stack; a
+  /// standalone controller given none owns a private, unreadable one.
   explicit AdmissionController(AdmissionConfig config = {},
                                obs::MetricRegistry* metrics = nullptr);
 
@@ -103,28 +93,24 @@ class AdmissionController {
     return in_flight_snapshot_.load(std::memory_order_acquire);
   }
 
-  AdmissionStats Stats() const;
-
   const AdmissionConfig& config() const { return config_; }
 
  private:
   bool HasRoom(std::uint32_t tenant) const REQUIRES(mu_);
   void AdmitLocked(std::uint32_t tenant) REQUIRES(mu_);
 
-  /// Registry-backed monotone tallies (pd2gl_admission_*); Stats() reads
-  /// them back through the shared binding fill loop.
+  /// Registry-backed monotone tallies (pd2gl_admission_<member>).
   struct Counters {
     obs::Counter* admitted = nullptr;
-    obs::Counter* window_rejects = nullptr;
-    obs::Counter* quota_rejects = nullptr;
-    obs::Counter* closed_rejects = nullptr;
-    obs::Counter* blocked_waits = nullptr;
+    obs::Counter* window_rejects = nullptr;  ///< probes refused: window full
+    obs::Counter* quota_rejects = nullptr;   ///< probes refused: over quota
+    obs::Counter* closed_rejects = nullptr;  ///< probes after Close()
+    obs::Counter* blocked_waits = nullptr;   ///< kBlock submitters that waited
   };
 
   AdmissionConfig config_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::StatsBinding<AdmissionStats> binding_;
   Counters counters_;
   mutable Mutex mu_;
   CondVar space_cv_;  // kBlock submitters wait here for Release or Close

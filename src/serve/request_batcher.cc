@@ -14,17 +14,12 @@ RequestBatcher::RequestBatcher(BatcherConfig config,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  using S = BatcherStats;
-  counters_.enqueued =
-      metrics_->BindCounter(&binding_, &S::enqueued, "pd2gl_batcher_enqueued");
-  counters_.dispatched = metrics_->BindCounter(&binding_, &S::dispatched,
-                                               "pd2gl_batcher_dispatched");
-  counters_.batches =
-      metrics_->BindCounter(&binding_, &S::batches, "pd2gl_batcher_batches");
-  counters_.shed =
-      metrics_->BindCounter(&binding_, &S::shed, "pd2gl_batcher_shed");
-  counters_.closed_rejects = metrics_->BindCounter(
-      &binding_, &S::closed_rejects, "pd2gl_batcher_closed_rejects");
+  counters_.enqueued = metrics_->RegisterCounter("pd2gl_batcher_enqueued");
+  counters_.dispatched = metrics_->RegisterCounter("pd2gl_batcher_dispatched");
+  counters_.batches = metrics_->RegisterCounter("pd2gl_batcher_batches");
+  counters_.shed = metrics_->RegisterCounter("pd2gl_batcher_shed");
+  counters_.closed_rejects =
+      metrics_->RegisterCounter("pd2gl_batcher_closed_rejects");
 }
 
 Status RequestBatcher::Enqueue(PendingRequest req, std::uint64_t now_us) {
@@ -97,12 +92,6 @@ void RequestBatcher::Close() {
   // check-then-push window (see Enqueue).
   MutexLock lock(mu_);
   closed_.store(true, std::memory_order_release);
-}
-
-BatcherStats RequestBatcher::Stats() const {
-  BatcherStats s = binding_.Read();
-  s.queued = Depth();
-  return s;
 }
 
 }  // namespace platod2gl::serve

@@ -58,20 +58,11 @@ struct BatcherConfig {
   std::uint64_t window_us = 200;   ///< batch-formation deadline (virtual)
 };
 
-/// Monotonic counters + a point-in-time queue snapshot.
-struct BatcherStats {
-  std::uint64_t enqueued = 0;
-  std::uint64_t dispatched = 0;      ///< requests released into batches
-  std::uint64_t batches = 0;         ///< batches formed
-  std::uint64_t shed = 0;            ///< requests evicted by ShedOldest
-  std::uint64_t closed_rejects = 0;  ///< enqueues after Close()
-  std::size_t queued = 0;
-};
-
 class RequestBatcher {
  public:
   /// `metrics` hosts the pd2gl_batcher_* series; the GraphServer passes
-  /// its own registry. A standalone batcher (tests) owns a private one.
+  /// its own registry; a standalone batcher given none owns a private,
+  /// unreadable one.
   explicit RequestBatcher(BatcherConfig config = {},
                           obs::MetricRegistry* metrics = nullptr);
 
@@ -109,24 +100,21 @@ class RequestBatcher {
     return depth_snapshot_.load(std::memory_order_acquire);
   }
 
-  BatcherStats Stats() const;
-
   const BatcherConfig& config() const { return config_; }
 
  private:
-  /// Registry-backed monotone tallies (pd2gl_batcher_*).
+  /// Registry-backed monotone tallies (pd2gl_batcher_<member>).
   struct Counters {
     obs::Counter* enqueued = nullptr;
-    obs::Counter* dispatched = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* closed_rejects = nullptr;
+    obs::Counter* dispatched = nullptr;  ///< requests released into batches
+    obs::Counter* batches = nullptr;     ///< batches formed
+    obs::Counter* shed = nullptr;        ///< requests evicted by ShedOldest
+    obs::Counter* closed_rejects = nullptr;  ///< enqueues after Close()
   };
 
   BatcherConfig config_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::StatsBinding<BatcherStats> binding_;
   Counters counters_;
   mutable Mutex mu_;
   std::deque<PendingRequest> queue_ GUARDED_BY(mu_);

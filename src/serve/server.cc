@@ -26,32 +26,22 @@ GraphServer::GraphServer(GraphCluster* cluster, EpochCoordinator* epochs,
   }
   metrics_.RegisterExternalHistogram("pd2gl_serve_latency_nanos", {},
                                      &latency_);
-  using S = ServeStats;
-  counters_.submitted =
-      metrics_.BindCounter(&binding_, &S::submitted, "pd2gl_serve_submitted");
-  counters_.completed =
-      metrics_.BindCounter(&binding_, &S::completed, "pd2gl_serve_completed");
-  counters_.ok = metrics_.BindCounter(&binding_, &S::ok, "pd2gl_serve_ok");
-  counters_.degraded =
-      metrics_.BindCounter(&binding_, &S::degraded, "pd2gl_serve_degraded");
-  counters_.shed =
-      metrics_.BindCounter(&binding_, &S::shed, "pd2gl_serve_shed");
-  counters_.invalid =
-      metrics_.BindCounter(&binding_, &S::invalid, "pd2gl_serve_invalid");
-  counters_.rejected =
-      metrics_.BindCounter(&binding_, &S::rejected, "pd2gl_serve_rejected");
-  counters_.batches =
-      metrics_.BindCounter(&binding_, &S::batches, "pd2gl_serve_batches");
-  counters_.batched_requests = metrics_.BindCounter(
-      &binding_, &S::batched_requests, "pd2gl_serve_batched_requests");
-  counters_.rpc_rounds =
-      metrics_.BindCounter(&binding_, &S::rpc_rounds, "pd2gl_serve_rpc_rounds");
-  counters_.virtual_busy_us = metrics_.BindCounter(
-      &binding_, &S::virtual_busy_us, "pd2gl_serve_virtual_busy_us");
-  counters_.slo_windows = metrics_.BindCounter(&binding_, &S::slo_windows,
-                                               "pd2gl_serve_slo_windows");
-  counters_.slo_violations = metrics_.BindCounter(
-      &binding_, &S::slo_violations, "pd2gl_serve_slo_violations");
+  counters_.submitted = metrics_.RegisterCounter("pd2gl_serve_submitted");
+  counters_.completed = metrics_.RegisterCounter("pd2gl_serve_completed");
+  counters_.ok = metrics_.RegisterCounter("pd2gl_serve_ok");
+  counters_.degraded = metrics_.RegisterCounter("pd2gl_serve_degraded");
+  counters_.shed = metrics_.RegisterCounter("pd2gl_serve_shed");
+  counters_.invalid = metrics_.RegisterCounter("pd2gl_serve_invalid");
+  counters_.rejected = metrics_.RegisterCounter("pd2gl_serve_rejected");
+  counters_.batches = metrics_.RegisterCounter("pd2gl_serve_batches");
+  counters_.batched_requests =
+      metrics_.RegisterCounter("pd2gl_serve_batched_requests");
+  counters_.rpc_rounds = metrics_.RegisterCounter("pd2gl_serve_rpc_rounds");
+  counters_.virtual_busy_us =
+      metrics_.RegisterCounter("pd2gl_serve_virtual_busy_us");
+  counters_.slo_windows = metrics_.RegisterCounter("pd2gl_serve_slo_windows");
+  counters_.slo_violations =
+      metrics_.RegisterCounter("pd2gl_serve_slo_violations");
 }
 
 void GraphServer::RetireLocked(std::uint64_t now_us, bool all) {
@@ -316,9 +306,20 @@ SloReport GraphServer::EndSloWindow() {
 }
 
 ServeStats GraphServer::Stats() const {
-  ServeStats s = binding_.Read();
-  s.admission = admission_.Stats();
-  s.batcher = batcher_.Stats();
+  ServeStats s;
+  s.submitted = counters_.submitted->Value();
+  s.completed = counters_.completed->Value();
+  s.ok = counters_.ok->Value();
+  s.degraded = counters_.degraded->Value();
+  s.shed = counters_.shed->Value();
+  s.invalid = counters_.invalid->Value();
+  s.rejected = counters_.rejected->Value();
+  s.batches = counters_.batches->Value();
+  s.batched_requests = counters_.batched_requests->Value();
+  s.rpc_rounds = counters_.rpc_rounds->Value();
+  s.virtual_busy_us = counters_.virtual_busy_us->Value();
+  s.slo_windows = counters_.slo_windows->Value();
+  s.slo_violations = counters_.slo_violations->Value();
   return s;
 }
 

@@ -83,8 +83,8 @@ struct SloReport {
   std::uint64_t exemplar_trace_id = 0;
 };
 
-/// Monotonic counters + point-in-time queue/window snapshots; admission
-/// and batcher counters ride along so one call tells the whole story.
+/// The pd2gl_serve_* counters as one struct. The admission and batcher
+/// series live in the same registry (metrics()).
 struct ServeStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;       ///< responses retired (incl. shed)
@@ -99,8 +99,6 @@ struct ServeStats {
   std::uint64_t virtual_busy_us = 0;  ///< summed batch service time
   std::uint64_t slo_windows = 0;
   std::uint64_t slo_violations = 0;
-  AdmissionStats admission;
-  BatcherStats batcher;
 };
 
 class GraphServer {
@@ -224,7 +222,6 @@ class GraphServer {
   AdmissionController admission_;
   RequestBatcher batcher_;
   obs::TraceSink trace_sink_;
-  obs::StatsBinding<ServeStats> binding_;
   Counters counters_;
 
   mutable Mutex mu_;

@@ -17,7 +17,6 @@ Status TemporalEdgeLog::Append(std::uint64_t timestamp,
 }
 
 std::size_t TemporalEdgeLog::AppendBatch(std::span<const TimedUpdate> batch) {
-  log_.reserve(log_.size() + batch.size());
   std::uint64_t tail = log_.empty() ? 0 : log_.back().timestamp;
   bool have_tail = !log_.empty();
   std::size_t accepted = 0;

@@ -9,6 +9,7 @@
 #include "dist/partitioner.h"
 #include "dist/shard.h"
 #include "gen/generators.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -128,9 +129,9 @@ TEST(ClusterTest, VirtualNetworkAccounting) {
   }
   cluster.ApplyBatch(batch);
   // Batched: at most one RPC per shard, far less than one per edge.
-  EXPECT_LE(cluster.stats().rpcs, 4u);
-  EXPECT_EQ(cluster.stats().virtual_network_us,
-            cluster.stats().rpcs * 100u);
+  EXPECT_LE(MetricValue(cluster.metrics(), "pd2gl_cluster_rpcs"), 4u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_cluster_virtual_network_us"),
+            MetricValue(cluster.metrics(), "pd2gl_cluster_rpcs") * 100u);
 }
 
 TEST(ClusterTest, LoadImbalanceNearOneOnUniformKeys) {

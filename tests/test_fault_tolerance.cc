@@ -19,6 +19,7 @@
 #include "dist/remote_sampler.h"
 #include "dist/shard.h"
 #include "dist/wire.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -146,14 +147,16 @@ TEST(ClusterFaultTest, TransientFaultsWithinBudgetAreInvisible) {
   }
 
   // The faults really happened — they were just absorbed by retries.
-  const ClusterStats& st = faulty.stats();
-  EXPECT_GT(st.transient_faults, 0u);
-  EXPECT_GT(st.retries, 0u);
-  EXPECT_EQ(st.degraded_seeds, 0u);
-  EXPECT_EQ(st.deadline_hits, 0u);
-  EXPECT_GT(st.rpcs, control.stats().rpcs);
+  const obs::RegistrySnapshot st = faulty.metrics().Snapshot();
+  EXPECT_GT(MetricValue(st, "pd2gl_cluster_transient_faults"), 0u);
+  EXPECT_GT(MetricValue(st, "pd2gl_cluster_retries"), 0u);
+  EXPECT_EQ(MetricValue(st, "pd2gl_cluster_degraded_seeds"), 0u);
+  EXPECT_EQ(MetricValue(st, "pd2gl_cluster_deadline_hits"), 0u);
+  EXPECT_GT(MetricValue(st, "pd2gl_cluster_rpcs"),
+            MetricValue(control.metrics(), "pd2gl_cluster_rpcs"));
   // Slow RPCs and retries both inflate virtual time, never wall time.
-  EXPECT_GT(st.virtual_network_us, control.stats().virtual_network_us);
+  EXPECT_GT(MetricValue(st, "pd2gl_cluster_virtual_network_us"),
+            MetricValue(control.metrics(), "pd2gl_cluster_virtual_network_us"));
 }
 
 TEST(ClusterFaultTest, CorruptResponsesAreDetectedAndRetried) {
@@ -178,9 +181,10 @@ TEST(ClusterFaultTest, CorruptResponsesAreDetectedAndRetried) {
   }
   // The damaged responses went through the real codec and were dropped
   // there, not waved through.
-  EXPECT_GT(faulty.stats().corrupt_responses, 0u);
-  EXPECT_GT(faulty.stats().retries, 0u);
-  EXPECT_EQ(faulty.stats().degraded_seeds, 0u);
+  EXPECT_GT(MetricValue(faulty.metrics(), "pd2gl_cluster_corrupt_responses"),
+            0u);
+  EXPECT_GT(MetricValue(faulty.metrics(), "pd2gl_cluster_retries"), 0u);
+  EXPECT_EQ(MetricValue(faulty.metrics(), "pd2gl_cluster_degraded_seeds"), 0u);
 }
 
 TEST(ClusterFaultTest, DeadlineDegradesSeedsWithoutThrowingOrHanging) {
@@ -201,8 +205,8 @@ TEST(ClusterFaultTest, DeadlineDegradesSeedsWithoutThrowingOrHanging) {
     EXPECT_EQ(report.batch.offsets[i + 1], report.batch.offsets[i])
         << "degraded seeds must come back as the empty marker";
   }
-  EXPECT_GT(cluster.stats().deadline_hits, 0u);
-  EXPECT_EQ(cluster.stats().degraded_seeds, 5u);
+  EXPECT_GT(MetricValue(cluster.metrics(), "pd2gl_cluster_deadline_hits"), 0u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_cluster_degraded_seeds"), 5u);
 }
 
 TEST(ClusterFaultTest, ApplyBatchReportsLostUpdatesPastBudget) {
@@ -218,7 +222,7 @@ TEST(ClusterFaultTest, ApplyBatchReportsLostUpdatesPastBudget) {
   const Status s = cluster.ApplyBatch(batch);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(cluster.stats().lost_updates, 20u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_cluster_lost_updates"), 20u);
   EXPECT_EQ(cluster.NumEdges(), 0u);  // nothing half-applied
 }
 
@@ -236,7 +240,7 @@ TEST(ClusterFaultTest, ApplyBatchSurvivesTransientFaults) {
   for (VertexId s = 1; s <= 500; ++s) {
     ASSERT_EQ(faulty.Degree(s), 1u) << s;
   }
-  EXPECT_EQ(faulty.stats().lost_updates, 0u);
+  EXPECT_EQ(MetricValue(faulty.metrics(), "pd2gl_cluster_lost_updates"), 0u);
 }
 
 TEST(ClusterFaultTest, CrashedShardDegradesOnlyItsOwnSeeds) {
@@ -266,7 +270,8 @@ TEST(ClusterFaultTest, CrashedShardDegradesOnlyItsOwnSeeds) {
   }
   EXPECT_GT(degraded, 0u);
   EXPECT_EQ(report.degraded_seeds, degraded);
-  EXPECT_GT(cluster.stats().crash_rejections, 0u);
+  EXPECT_GT(MetricValue(cluster.metrics(), "pd2gl_cluster_crash_rejections"),
+            0u);
 }
 
 // --- Attribute gather under faults ------------------------------------------
@@ -330,7 +335,8 @@ TEST(ClusterGatherFaultTest, CrashedShardRowsComeBackAsFlaggedZeros) {
     EXPECT_EQ(g.degraded_rows, on_victim) << "item " << w;
     EXPECT_EQ(want.reports[w].degraded_rows, 0u);
   }
-  EXPECT_GT(crashed.stats().crash_rejections, 0u);
+  EXPECT_GT(MetricValue(crashed.metrics(), "pd2gl_cluster_crash_rejections"),
+            0u);
 }
 
 TEST(ClusterGatherFaultTest, TransientFaultsWithinBudgetAreInvisible) {
@@ -357,9 +363,10 @@ TEST(ClusterGatherFaultTest, TransientFaultsWithinBudgetAreInvisible) {
       }
     }
   }
-  EXPECT_GT(faulty.stats().transient_faults, 0u);
-  EXPECT_GT(faulty.stats().retries, 0u);
-  EXPECT_EQ(faulty.stats().deadline_hits, 0u);
+  EXPECT_GT(MetricValue(faulty.metrics(), "pd2gl_cluster_transient_faults"),
+            0u);
+  EXPECT_GT(MetricValue(faulty.metrics(), "pd2gl_cluster_retries"), 0u);
+  EXPECT_EQ(MetricValue(faulty.metrics(), "pd2gl_cluster_deadline_hits"), 0u);
 }
 
 // --- RemoteSubgraphSampler resilience --------------------------------------
@@ -395,8 +402,9 @@ TEST(RemoteSamplerFaultTest, RetryDeterminismAcrossFaultConfigs) {
     ASSERT_TRUE(got.complete());
     ASSERT_TRUE(want.complete());
   }
-  EXPECT_GT(faulty.stats().retries, 0u);
-  EXPECT_GT(faulty.stats().transient_faults, 0u);
+  EXPECT_GT(MetricValue(faulty.metrics(), "pd2gl_cluster_retries"), 0u);
+  EXPECT_GT(MetricValue(faulty.metrics(), "pd2gl_cluster_transient_faults"),
+            0u);
 }
 
 TEST(RemoteSamplerFaultTest, UnreachableShardStopsExpansionGracefully) {
@@ -519,8 +527,8 @@ TEST_F(RecoveryTest, KillAndRecoverMatchesNeverCrashedControl) {
     phase3.push_back({UpdateKind::kInsert, Edge{s, s + 4000, 4.0, 0}});
   }
   apply_both(phase3);
-  EXPECT_GT(victim.stats().wal_handoffs, 0u);
-  EXPECT_EQ(victim.stats().lost_updates, 0u);
+  EXPECT_GT(MetricValue(victim.metrics(), "pd2gl_cluster_wal_handoffs"), 0u);
+  EXPECT_EQ(MetricValue(victim.metrics(), "pd2gl_cluster_lost_updates"), 0u);
 
   // While down, sampling degrades instead of failing.
   const SampleReport down =
@@ -529,8 +537,9 @@ TEST_F(RecoveryTest, KillAndRecoverMatchesNeverCrashedControl) {
 
   // Recover: checkpoint + WAL replay rebuild the exact state.
   ASSERT_TRUE(victim.RecoverShard(dead).ok());
-  EXPECT_EQ(victim.stats().recoveries, 1u);
-  EXPECT_GT(victim.stats().replayed_updates, 0u);
+  EXPECT_EQ(MetricValue(victim.metrics(), "pd2gl_cluster_recoveries"), 1u);
+  EXPECT_GT(MetricValue(victim.metrics(), "pd2gl_cluster_replayed_updates"),
+            0u);
   EXPECT_EQ(victim.fault_injector().NumCrashed(), 0u);
 
   ASSERT_EQ(victim.NumEdges(), control.NumEdges());
@@ -562,8 +571,8 @@ TEST_F(RecoveryTest, SingleUpdateApplyUsesWalHandoffWhileDown) {
   cluster.CrashShard(dead);
   // Apply() to a crashed shard is still OK: durably logged, not lost.
   ASSERT_TRUE(cluster.Apply({UpdateKind::kInsert, Edge{42, 43, 1.0, 0}}).ok());
-  EXPECT_EQ(cluster.stats().wal_handoffs, 1u);
-  EXPECT_EQ(cluster.stats().lost_updates, 0u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_cluster_wal_handoffs"), 1u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_cluster_lost_updates"), 0u);
   EXPECT_EQ(cluster.Degree(42), 0u) << "not applied while down";
   ASSERT_TRUE(cluster.RecoverShard(dead).ok());
   EXPECT_EQ(cluster.Degree(42), 1u) << "replayed on recovery";

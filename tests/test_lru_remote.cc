@@ -6,6 +6,7 @@
 
 #include "common/lru_cache.h"
 #include "dist/remote_sampler.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -108,14 +109,16 @@ TEST(RemoteSamplerTest, OneRpcRoundPerHopPerShard) {
     seeds.push_back(s);
   }
   cluster.ApplyBatch(batch);
-  const std::uint64_t rpcs_before = cluster.stats().rpcs;
+  const std::uint64_t rpcs_before =
+      MetricValue(cluster.metrics(), "pd2gl_cluster_rpcs");
 
   RemoteSubgraphSampler sampler(&cluster);
   sampler.Sample(seeds, {{.fanout = 5}, {.fanout = 5}}, 9);
 
   // 2 hops x at most 4 shards = at most 8 RPCs, regardless of the 200
   // seeds and the 1000-vertex hop-1 frontier.
-  EXPECT_LE(cluster.stats().rpcs - rpcs_before, 8u);
+  EXPECT_LE(MetricValue(cluster.metrics(), "pd2gl_cluster_rpcs") - rpcs_before,
+            8u);
 }
 
 TEST(RemoteSamplerTest, DanglingFrontier) {

@@ -1,10 +1,10 @@
-// MetricRegistry / exporter / profiling tests (DESIGN.md §15,
-// docs/observability.md): idempotent registration with normalized labels,
-// race-free sorted snapshots, StatsBinding as the one shared fill loop,
-// cross-registry MergeFrom, the Prometheus/JSON exporters, the
-// compile-away profiling sites, and the end-to-end contract that every
-// subsystem's legacy Stats() struct mirrors its registry series exactly.
+// MetricRegistry / exporter tests (DESIGN.md §15, docs/observability.md):
+// idempotent registration with normalized labels, race-free sorted
+// snapshots, cross-registry MergeFrom, the Prometheus/JSON exporters, and
+// the end-to-end contract that each subsystem's series land in the
+// registry it was given, with the exact counts its workload implies.
 // Labels: obs.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,12 +16,12 @@
 #include "dist/cluster.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "pipeline/epoch_coordinator.h"
 #include "pipeline/micro_batcher.h"
 #include "pipeline/update_ingestor.h"
 #include "serve/server.h"
 #include "storage/graph_store.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -34,7 +34,6 @@ using obs::MetricKind;
 using obs::MetricPoint;
 using obs::MetricRegistry;
 using obs::RegistrySnapshot;
-using obs::StatsBinding;
 
 // ---------------------------------------------------------------------------
 // Registration semantics.
@@ -113,6 +112,22 @@ TEST(RegistryTest, SumAcrossLabelsFoldsPerShardSeries) {
   EXPECT_EQ(snap.SumAcrossLabels("pd2gl_absent"), 0u);
 }
 
+TEST(RegistryTest, CheckedReadsFailOnAnAbsentSeries) {
+  // The tests' registry reads (metric_read.h) must not turn a misspelled
+  // name into a silent 0 the way Value / SumAcrossLabels do.
+  MetricRegistry reg;
+  reg.RegisterCounter("pd2gl_shard_work", {{"shard", "0"}})->Add(2);
+  const RegistrySnapshot snap = reg.Snapshot();
+  EXPECT_EQ(MetricValue(snap, "pd2gl_shard_work", {{"shard", "0"}}), 2u);
+  EXPECT_EQ(MetricSum(snap, "pd2gl_shard_work"), 2u);
+  EXPECT_NONFATAL_FAILURE(MetricValue(snap, "pd2gl_shard_wrok"),
+                          "pd2gl_shard_wrok");
+  EXPECT_NONFATAL_FAILURE(MetricValue(snap, "pd2gl_shard_work"),
+                          "pd2gl_shard_work");  // exists only labelled
+  EXPECT_NONFATAL_FAILURE(MetricSum(snap, "pd2gl_shard_wrok"),
+                          "pd2gl_shard_wrok");
+}
+
 TEST(RegistryTest, ExternalSeriesRideTheSameExportPath) {
   // Borrowed series: the metric objects live in the subsystem (the
   // SampleCache pattern), the registry only exports them.
@@ -129,24 +144,6 @@ TEST(RegistryTest, ExternalSeriesRideTheSameExportPath) {
   const RegistrySnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.Value("pd2gl_ext_hits"), 5u);
   EXPECT_EQ(snap.Hist("pd2gl_ext_nanos").Count(), 2u);
-}
-
-TEST(RegistryTest, StatsBindingIsTheOneFillLoop) {
-  struct LocalStats {
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-  };
-  MetricRegistry reg;
-  StatsBinding<LocalStats> binding;
-  Counter* reads =
-      reg.BindCounter(&binding, &LocalStats::reads, "pd2gl_local_reads");
-  Counter* writes =
-      reg.BindCounter(&binding, &LocalStats::writes, "pd2gl_local_writes");
-  reads->Add(11);
-  writes->Add(22);
-  const LocalStats s = binding.Read();
-  EXPECT_EQ(s.reads, 11u);
-  EXPECT_EQ(s.writes, 22u);
 }
 
 // ---------------------------------------------------------------------------
@@ -209,42 +206,7 @@ TEST(ExportTest, JsonCarriesEverySeries) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiling sites: present in every build, recording only when enabled.
-// ---------------------------------------------------------------------------
-
-TEST(ProfileTest, SitesAreNamedAndSnapshotExports) {
-  const RegistrySnapshot before = obs::ProfileSnapshot();
-  ASSERT_EQ(before.points.size(),
-            static_cast<std::size_t>(obs::ProfileSite::kNumSites));
-  for (const MetricPoint& p : before.points) {
-    EXPECT_EQ(p.name.rfind("pd2gl_profile_", 0), 0u) << p.name;
-    EXPECT_EQ(p.kind, MetricKind::kHistogram);
-    if (!obs::ProfilingEnabled()) {
-      // Default build: the macro compiles away; nothing in this process
-      // (including the hot paths other tests exercised) may have
-      // recorded into the site histograms.
-      EXPECT_EQ(p.hist.Count(), 0u) << p.name;
-    }
-  }
-  for (std::uint8_t s = 0;
-       s < static_cast<std::uint8_t>(obs::ProfileSite::kNumSites); ++s) {
-    EXPECT_NE(obs::ProfileSiteName(static_cast<obs::ProfileSite>(s)),
-              nullptr);
-  }
-
-  // The histograms themselves are always live (the macro is what
-  // compiles away), so a direct Record shows up in the next snapshot.
-  obs::ProfileHistogram(obs::ProfileSite::kSamtreeDescent).Record(500);
-  const RegistrySnapshot after = obs::ProfileSnapshot();
-  bool saw = false;
-  for (const MetricPoint& p : after.points) {
-    if (p.hist.Count() > 0) saw = true;
-  }
-  EXPECT_TRUE(saw);
-}
-
-// ---------------------------------------------------------------------------
-// Subsystem contract: legacy Stats() structs mirror the registry.
+// Subsystem contract: every series lands in the registry it was given.
 // ---------------------------------------------------------------------------
 
 TEST(SubsystemRegistryTest, ServerStatsMirrorItsRegistry) {
@@ -270,17 +232,22 @@ TEST(SubsystemRegistryTest, ServerStatsMirrorItsRegistry) {
   }
   server.Drain(0);
 
-  const serve::ServeStats s = server.Stats();
+  // 4 requests, max_batch 2: two batches, each one sample round.
   const RegistrySnapshot snap = server.metrics().Snapshot();
-  EXPECT_EQ(snap.Value("pd2gl_serve_submitted"), s.submitted);
-  EXPECT_EQ(snap.Value("pd2gl_serve_completed"), s.completed);
-  EXPECT_EQ(snap.Value("pd2gl_serve_batches"), s.batches);
-  EXPECT_EQ(snap.Value("pd2gl_serve_rpc_rounds"), s.rpc_rounds);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_submitted"), 4u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_completed"), 4u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_batches"), 2u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_rpc_rounds"), 2u);
   // The admission and batcher series live in the SAME registry — one
   // page tells the whole serving story.
-  EXPECT_EQ(snap.Value("pd2gl_admission_admitted"), s.admission.admitted);
-  EXPECT_EQ(snap.Value("pd2gl_batcher_enqueued"), s.batcher.enqueued);
-  EXPECT_EQ(snap.Value("pd2gl_batcher_dispatched"), s.batcher.dispatched);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_admission_admitted"), 4u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_batcher_enqueued"), 4u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_batcher_dispatched"), 4u);
+  // Stats() is filled from the same counters.
+  const serve::ServeStats s = server.Stats();
+  EXPECT_EQ(s.submitted, 4u);
+  EXPECT_EQ(s.ok, 4u);
+  EXPECT_EQ(s.batched_requests, 4u);
   // The latency histograms are registered too (global + per-tenant).
   EXPECT_EQ(snap.Hist("pd2gl_serve_latency_nanos").Count(),
             server.latency().Count());
@@ -305,17 +272,48 @@ TEST(SubsystemRegistryTest, ClusterPerShardSeriesAccumulate) {
   cluster.SampleNeighbors(seeds, /*fanout=*/4, /*weighted=*/true,
                           /*rng_seed=*/7);
 
-  const ClusterStats s = cluster.stats();
   const RegistrySnapshot snap = cluster.metrics().Snapshot();
-  EXPECT_EQ(snap.Value("pd2gl_cluster_rpcs"), s.rpcs);
-  EXPECT_EQ(snap.SumAcrossLabels("pd2gl_shard_sample_seeds"), seeds.size())
-      << "per-shard seed counts fold back to the request total";
-  // Every shard that received seeds has its own labelled series.
+  // Fault-free: one RPC per Apply, plus one per shard the sample hit.
   std::size_t shards_hit = 0;
   for (const MetricPoint& p : snap.points) {
     if (p.name == "pd2gl_shard_sample_seeds" && p.value > 0) ++shards_hit;
   }
+  EXPECT_EQ(MetricValue(snap, "pd2gl_cluster_rpcs"), 400u + shards_hit);
+  EXPECT_EQ(MetricSum(snap, "pd2gl_shard_sample_seeds"), seeds.size())
+      << "per-shard seed counts fold back to the request total";
+  // Every shard that received seeds has its own labelled series.
   EXPECT_GT(shards_hit, 1u) << "32 seeds over 4 shards hit several shards";
+}
+
+TEST(SubsystemRegistryTest, ShardCacheSeriesFollowTheLiveStore) {
+  ClusterConfig ccfg;
+  ccfg.num_shards = 2;
+  GraphCluster cluster(ccfg);
+  std::vector<VertexId> seeds;
+  for (VertexId v = 0; v < 20; ++v) {
+    cluster.Apply({UpdateKind::kInsert, Edge{v, v + 1, 1.0, 0}});
+    seeds.push_back(v);
+  }
+  cluster.SampleNeighbors(seeds, /*fanout=*/2, /*weighted=*/true,
+                          /*rng_seed=*/7);
+  const Labels shard0{{"shard", "0"}};
+  const Labels shard1{{"shard", "1"}};
+  ASSERT_GT(MetricValue(cluster.metrics(), "pd2gl_sample_cache_misses", shard0),
+            0u);
+  const std::uint64_t shard1_misses =
+      MetricValue(cluster.metrics(), "pd2gl_sample_cache_misses", shard1);
+  ASSERT_GT(shard1_misses, 0u);
+
+  // Crash and recovery each replace shard 0's store, and its cache with
+  // it: the series must read the live cache, never the destroyed one.
+  cluster.CrashShard(0);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_sample_cache_misses", shard0),
+            0u);
+  ASSERT_TRUE(cluster.RecoverShard(0).ok());
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_sample_cache_misses", shard0),
+            0u);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_sample_cache_misses", shard1),
+            shard1_misses);
 }
 
 TEST(SubsystemRegistryTest, PipelineSharesOneRegistry) {
@@ -335,18 +333,18 @@ TEST(SubsystemRegistryTest, PipelineSharesOneRegistry) {
   }
   batcher.Flush();
 
-  const IngestorStats is = ingestor.Stats();
-  const MicroBatcherStats bs = batcher.Stats();
+  // Ten distinct edges: nothing coalesces, and the first forced pump
+  // drains all ten into one micro-batch.
   const RegistrySnapshot snap = reg.Snapshot();
-  EXPECT_EQ(is.accepted, 10u);
-  EXPECT_EQ(snap.Value("pd2gl_ingest_accepted"), is.accepted);
-  EXPECT_EQ(snap.Value("pd2gl_micro_batcher_updates_ingested"),
-            bs.updates_ingested);
-  EXPECT_EQ(snap.Value("pd2gl_micro_batcher_updates_applied"),
-            bs.updates_applied);
-  EXPECT_EQ(snap.Value("pd2gl_micro_batcher_batches_applied"),
-            bs.batches_applied);
-  EXPECT_GT(snap.Value("pd2gl_micro_batcher_updates_applied"), 0u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_ingest_accepted"), 10u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_micro_batcher_updates_ingested"), 10u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_micro_batcher_updates_applied"), 10u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_micro_batcher_coalesced"), 0u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_micro_batcher_batches_applied"), 1u);
+  // MicroBatcher::Stats() is filled from the same counters.
+  const MicroBatcherStats bs = batcher.Stats();
+  EXPECT_EQ(bs.updates_ingested, 10u);
+  EXPECT_EQ(bs.batches_applied, 1u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "pipeline/update_ingestor.h"
 #include "storage/graph_store.h"
 #include "temporal/edge_log.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -83,9 +84,10 @@ struct Pipeline {
                     GraphStoreConfig gcfg = {}, std::size_t threads = 4)
       : graph(gcfg),
         pool(threads),
-        ingestor(icfg),
-        batcher(&graph, &pool, &ingestor, &epochs, &log, bcfg) {}
+        ingestor(icfg, &metrics),
+        batcher(&graph, &pool, &ingestor, &epochs, &log, bcfg, &metrics) {}
 
+  obs::MetricRegistry metrics;  // pd2gl_ingest_* and pd2gl_micro_batcher_*
   GraphStore graph;
   ThreadPool pool;
   UpdateIngestor ingestor;
@@ -98,15 +100,17 @@ struct Pipeline {
 // Backpressure policy matrix
 
 TEST(IngestorBackpressure, RejectPolicyFailsFastWhenFull) {
+  obs::MetricRegistry metrics;
   UpdateIngestor ing(IngestorConfig{.num_shards = 1,
                                     .shard_capacity = 3,
-                                    .policy = BackpressurePolicy::kReject});
+                                    .policy = BackpressurePolicy::kReject},
+                     &metrics);
   for (std::uint64_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(ing.OfferInsert(i, {1, i, 1.0, 0}).ok());
   }
   const Status full = ing.OfferInsert(3, {1, 99, 1.0, 0});
   EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(ing.Stats().rejected, 1u);
+  EXPECT_EQ(MetricValue(metrics, "pd2gl_ingest_rejected"), 1u);
   EXPECT_EQ(ing.QueueDepth(), 3u);
 
   // Draining makes room again.
@@ -116,15 +120,17 @@ TEST(IngestorBackpressure, RejectPolicyFailsFastWhenFull) {
 }
 
 TEST(IngestorBackpressure, DropOldestEvictsAndCounts) {
+  obs::MetricRegistry metrics;
   UpdateIngestor ing(
       IngestorConfig{.num_shards = 1,
                      .shard_capacity = 3,
-                     .policy = BackpressurePolicy::kDropOldest});
+                     .policy = BackpressurePolicy::kDropOldest},
+      &metrics);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_TRUE(ing.OfferInsert(i, {1, i, 1.0, 0}).ok());
   }
-  EXPECT_EQ(ing.Stats().dropped, 2u);
-  EXPECT_EQ(ing.Stats().accepted, 5u);
+  EXPECT_EQ(MetricValue(metrics, "pd2gl_ingest_dropped"), 2u);
+  EXPECT_EQ(MetricValue(metrics, "pd2gl_ingest_accepted"), 5u);
 
   std::vector<IngestedUpdate> out;
   EXPECT_EQ(ing.DrainAll(&out), 3u);
@@ -191,11 +197,12 @@ TEST(IngestorTest, WatermarkTracksNewestAcceptedTimestamp) {
 }
 
 TEST(IngestorTest, InvalidRelationRefusedAtTheDoor) {
-  UpdateIngestor ing(IngestorConfig{.num_relations = 2});
+  obs::MetricRegistry metrics;
+  UpdateIngestor ing(IngestorConfig{.num_relations = 2}, &metrics);
   EXPECT_TRUE(ing.OfferInsert(1, {1, 2, 1.0, 1}).ok());
   EXPECT_EQ(ing.OfferInsert(2, {1, 2, 1.0, 2}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ing.Stats().invalid, 1u);
+  EXPECT_EQ(MetricValue(metrics, "pd2gl_ingest_invalid"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,12 +321,15 @@ TEST(PipelineDeterminism, StoreMatchesSequentialReplayOfItsLog) {
         << "max_batch " << max_batch;
 
     // Observability: everything drained, watermarks converged.
-    const MicroBatcherStats bs = p.batcher.Stats();
-    EXPECT_EQ(bs.updates_ingested, trace.size());
-    EXPECT_EQ(bs.applied_watermark, trace.back().timestamp);
-    EXPECT_EQ(bs.pending, 0u);
-    EXPECT_GT(bs.coalesced, 0u);  // a 64-vertex universe must collide
-    EXPECT_EQ(p.epochs.epoch(), bs.batches_applied);
+    const obs::RegistrySnapshot snap = p.metrics.Snapshot();
+    EXPECT_EQ(MetricValue(snap, "pd2gl_micro_batcher_updates_ingested"),
+              trace.size());
+    EXPECT_EQ(p.batcher.applied_watermark(), trace.back().timestamp);
+    EXPECT_EQ(p.batcher.Stats().pending, 0u);
+    // A 64-vertex universe must collide.
+    EXPECT_GT(MetricValue(snap, "pd2gl_micro_batcher_coalesced"), 0u);
+    EXPECT_EQ(p.epochs.epoch(),
+              MetricValue(snap, "pd2gl_micro_batcher_batches_applied"));
   }
 }
 
@@ -352,7 +362,7 @@ TEST(PipelineTest, DropOldestStoreStillMatchesItsOwnLog) {
     if (++offered % 1500 == 0) p.batcher.PumpOnce(/*force=*/true);
   }
   p.batcher.Flush();
-  EXPECT_GT(p.ingestor.Stats().dropped, 0u);
+  EXPECT_GT(MetricValue(p.metrics, "pd2gl_ingest_dropped"), 0u);
   EXPECT_LT(p.log.size(), trace.size());
 
   GraphStore control;
@@ -431,10 +441,11 @@ TEST(ContinuousTrainerTest, TrainsWhileIngesting) {
     EXPECT_EQ(r.epoch, p.epochs.epoch());
   }
 
-  const PipelineStats stats = driver.Stats();
-  EXPECT_EQ(stats.batcher.updates_ingested, stats.ingest.accepted);
-  EXPECT_EQ(stats.staleness, 0u);
-  EXPECT_GE(stats.epoch, 1u);
+  const obs::RegistrySnapshot snap = p.metrics.Snapshot();
+  EXPECT_EQ(MetricValue(snap, "pd2gl_micro_batcher_updates_ingested"),
+            MetricValue(snap, "pd2gl_ingest_accepted"));
+  EXPECT_EQ(driver.Staleness(), 0u);
+  EXPECT_GE(p.epochs.epoch(), 1u);
 
   // The live store equals seed + replay of its own WAL even after training
   // interleaved with ingestion throughout. The seed graph predates the
@@ -540,9 +551,9 @@ TEST(PipelineStress, ProducersVsTrainerEpochSnapshotConsistency) {
   const std::size_t streamed = kProducers * kPerProducer;
   EXPECT_EQ(p.graph.NumEdges(), base_edges + streamed);
   EXPECT_EQ(p.log.size(), streamed);
-  EXPECT_EQ(p.ingestor.Stats().dropped, 0u);
-  EXPECT_EQ(p.batcher.Stats().log_rejected, 0u);
-  EXPECT_EQ(driver.Stats().staleness, 0u);
+  EXPECT_EQ(MetricValue(p.metrics, "pd2gl_ingest_dropped"), 0u);
+  EXPECT_EQ(MetricValue(p.metrics, "pd2gl_micro_batcher_log_rejected"), 0u);
+  EXPECT_EQ(driver.Staleness(), 0u);
 
   // And the replay invariant holds after the storm.
   GraphStore control;

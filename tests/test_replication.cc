@@ -26,6 +26,7 @@
 #include "dist/replication.h"
 #include "dist/wire.h"
 #include "io/checkpoint.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -102,11 +103,12 @@ TEST(ReplicationShipTest, ReplicasMatchPrimaryByteForByte) {
   ASSERT_TRUE(c.ApplyBatch(MakeBatch(1, 100, 2000, 2.0)).ok());
   ASSERT_TRUE(c.FlushReplication().ok());
   ExpectAllReplicasConverged(c, 2);
-  const ReplicationStats rs = c.replication_stats();
-  EXPECT_GT(rs.entries_applied, 0u);
-  EXPECT_GT(rs.append_messages, 0u);
-  EXPECT_GT(rs.bytes_shipped, 0u);
-  EXPECT_EQ(rs.rejected_appends, 0u) << "clean channel: no retransmits";
+  const obs::RegistrySnapshot rs = c.metrics().Snapshot();
+  EXPECT_GT(MetricValue(rs, "pd2gl_replication_entries_applied"), 0u);
+  EXPECT_GT(MetricValue(rs, "pd2gl_replication_append_messages"), 0u);
+  EXPECT_GT(MetricValue(rs, "pd2gl_replication_bytes_shipped"), 0u);
+  EXPECT_EQ(MetricValue(rs, "pd2gl_replication_rejected_appends"), 0u)
+      << "clean channel: no retransmits";
 }
 
 TEST(ReplicationShipTest, DisabledByDefaultAndBehaviourUnchanged) {
@@ -118,7 +120,9 @@ TEST(ReplicationShipTest, DisabledByDefaultAndBehaviourUnchanged) {
   ASSERT_TRUE(c.ApplyBatch(MakeBatch(1, 50, 1000, 1.0)).ok());
   EXPECT_TRUE(c.FlushReplication().ok());          // no-op
   EXPECT_EQ(c.RunAntiEntropy().digest_rounds, 0u); // no-op
-  EXPECT_EQ(c.replication_stats().append_messages, 0u);
+  EXPECT_EQ(c.metrics().Snapshot().Find("pd2gl_replication_append_messages"),
+            nullptr)
+      << "no replication series without replicas";
 }
 
 TEST(ReplicationShipTest, AckedWatermarkReachesLogHeadAfterFlush) {
@@ -156,11 +160,14 @@ TEST(ReplicationChaosTest, ConvergesUnderDropDuplicateReorder) {
   }
   ASSERT_TRUE(c.FlushReplication().ok());
   ExpectAllReplicasConverged(c, 2);
-  const ReplicationStats rs = c.replication_stats();
-  EXPECT_GT(rs.dropped_messages, 0u) << "fault schedule must have fired";
-  EXPECT_GT(rs.duplicated_messages, 0u);
-  EXPECT_GT(rs.reordered_messages, 0u);
-  EXPECT_GT(rs.rejected_appends + rs.duplicate_entries, 0u)
+  const obs::RegistrySnapshot rs = c.metrics().Snapshot();
+  EXPECT_GT(MetricValue(rs, "pd2gl_replication_dropped_messages"), 0u)
+      << "fault schedule must have fired";
+  EXPECT_GT(MetricValue(rs, "pd2gl_replication_duplicated_messages"), 0u);
+  EXPECT_GT(MetricValue(rs, "pd2gl_replication_reordered_messages"), 0u);
+  EXPECT_GT(MetricValue(rs, "pd2gl_replication_rejected_appends") +
+                MetricValue(rs, "pd2gl_replication_duplicate_entries"),
+            0u)
       << "contiguity check must have refused or skipped something";
 }
 
@@ -179,17 +186,20 @@ TEST(ReplicationChaosTest, ChaosRunIsAPureFunctionOfTheSeed) {
         state.push_back(ReplicaBytes(c, s, r));
       }
     }
-    return std::make_pair(state, c.replication_stats());
+    return std::make_pair(state, c.metrics().Snapshot());
   };
   const auto a = run(7);
   const auto b = run(7);
   EXPECT_EQ(a.first, b.first) << "same seed, same bytes";
-  EXPECT_EQ(a.second.dropped_messages, b.second.dropped_messages);
-  EXPECT_EQ(a.second.duplicated_messages, b.second.duplicated_messages);
-  EXPECT_EQ(a.second.reordered_messages, b.second.reordered_messages);
-  EXPECT_EQ(a.second.rejected_appends, b.second.rejected_appends);
-  EXPECT_EQ(a.second.append_messages, b.second.append_messages);
-  EXPECT_EQ(a.second.bytes_shipped, b.second.bytes_shipped);
+  for (const char* name : {"pd2gl_replication_dropped_messages",
+                           "pd2gl_replication_duplicated_messages",
+                           "pd2gl_replication_reordered_messages",
+                           "pd2gl_replication_rejected_appends",
+                           "pd2gl_replication_append_messages",
+                           "pd2gl_replication_bytes_shipped"}) {
+    EXPECT_EQ(MetricValue(a.second, name), MetricValue(b.second, name))
+        << name;
+  }
 }
 
 // --- Replica lifecycle -----------------------------------------------------
@@ -209,7 +219,8 @@ TEST(ReplicaLifecycleTest, CrashWipesAndRejoinCatchesUpFromTheLog) {
   ExpectAllReplicasConverged(c, 2);
   // No checkpoint was taken, so the rejoin replayed the log from seq 0 —
   // never a snapshot.
-  EXPECT_EQ(c.replication_stats().snapshot_bootstraps, 0u);
+  EXPECT_EQ(MetricValue(c.metrics(), "pd2gl_replication_snapshot_bootstraps"),
+            0u);
 }
 
 TEST(ReplicaLifecycleTest, PartitionStallsThenHealCatchesUp) {
@@ -251,7 +262,8 @@ TEST(ReplicaLifecycleTest, BootstrapsFromSnapshotWhenWalTruncated) {
   ASSERT_TRUE(c.ApplyBatch(MakeBatch(1, 40, 2000, 2.0)).ok());
   ASSERT_TRUE(c.FlushReplication().ok());
   ExpectAllReplicasConverged(c, 1);
-  EXPECT_GT(c.replication_stats().snapshot_bootstraps, 0u)
+  EXPECT_GT(MetricValue(c.metrics(), "pd2gl_replication_snapshot_bootstraps"),
+            0u)
       << "truncated log must force the snapshot path";
   std::filesystem::remove_all(dir);
 }
@@ -265,10 +277,12 @@ TEST(ReplicationVersionTest, OldFormatPeerIsExcludedCleanly) {
   ASSERT_TRUE(c.ApplyBatch(MakeBatch(1, 30, 1000, 1.0)).ok());
   ASSERT_TRUE(c.FlushReplication().ok()) << "incompatible peers are skipped,"
                                             " not spun on";
-  const ReplicationStats rs = c.replication_stats();
-  EXPECT_EQ(rs.unimplemented_peers, c.num_shards())
+  const obs::RegistrySnapshot rs = c.metrics().Snapshot();
+  EXPECT_EQ(MetricValue(rs, "pd2gl_replication_unimplemented_peers"),
+            c.num_shards())
       << "each shard's replica counted once";
-  EXPECT_EQ(rs.entries_applied, 0u) << "no entry crosses a version mismatch";
+  EXPECT_EQ(MetricValue(rs, "pd2gl_replication_entries_applied"), 0u)
+      << "no entry crosses a version mismatch";
   for (std::size_t s = 0; s < c.num_shards(); ++s) {
     EXPECT_TRUE(c.replication()->Probe(s)[0].incompatible);
   }
@@ -311,8 +325,9 @@ TEST(ReplicaReadTest, CaughtUpReplicaServesBitIdenticalSamples) {
     }
   }
   EXPECT_TRUE(saw_stale);
-  EXPECT_GT(c.stats().replica_read_seeds, 0u);
-  EXPECT_EQ(c.stats().stale_replica_seeds, 0u) << "lag was 0";
+  EXPECT_GT(MetricValue(c.metrics(), "pd2gl_cluster_replica_read_seeds"), 0u);
+  EXPECT_EQ(MetricValue(c.metrics(), "pd2gl_cluster_stale_replica_seeds"), 0u)
+      << "lag was 0";
 }
 
 TEST(ReplicaReadTest, LaggingReplicaServesWithinBudgetDegradesBeyond) {
@@ -337,12 +352,14 @@ TEST(ReplicaReadTest, LaggingReplicaServesWithinBudgetDegradesBeyond) {
 
   const SampleReport ok = within.SampleNeighborsChecked({1}, 3, true, 5);
   EXPECT_EQ(ok.seed_status[0], SeedStatus::kStale) << "lag within budget";
-  EXPECT_GT(within.stats().stale_replica_seeds, 0u);
+  EXPECT_GT(MetricValue(within.metrics(), "pd2gl_cluster_stale_replica_seeds"),
+            0u);
 
   const SampleReport bad = beyond.SampleNeighborsChecked({1}, 3, true, 5);
   EXPECT_EQ(bad.seed_status[0], SeedStatus::kDegraded)
       << "lag beyond budget must degrade, not serve silently-stale data";
-  EXPECT_EQ(beyond.stats().stale_replica_seeds, 0u);
+  EXPECT_EQ(MetricValue(beyond.metrics(), "pd2gl_cluster_stale_replica_seeds"),
+            0u);
 }
 
 // --- Deterministic failover ------------------------------------------------
@@ -364,9 +381,10 @@ TEST(FailoverTest, PromotedReplicaIsBitIdenticalToNeverCrashedControl) {
 
   // Age the suspicion past the timeout; the health monitor promotes.
   c.AdvanceVirtualTime(500);
-  ASSERT_EQ(c.stats().failovers, 0u) << "suspicion must age first";
+  ASSERT_EQ(MetricValue(c.metrics(), "pd2gl_cluster_failovers"), 0u)
+      << "suspicion must age first";
   c.AdvanceVirtualTime(2000);
-  ASSERT_EQ(c.stats().failovers, 1u);
+  ASSERT_EQ(MetricValue(c.metrics(), "pd2gl_cluster_failovers"), 1u);
   EXPECT_FALSE(c.shard(dead).crashed()) << "promoted shard serves again";
   EXPECT_FALSE(c.fault_injector().IsCrashed(dead));
   EXPECT_EQ(c.cutover().epoch(), 1u) << "one cut-over, one epoch advance";
@@ -394,7 +412,7 @@ TEST(FailoverTest, KillPrimaryMidIngestIsDeterministicAcrossSeeds) {
     EXPECT_TRUE(c.ApplyBatch(MakeBatch(1, 60, 2000, 2.0)).ok());
     c.AdvanceVirtualTime(500);
     c.AdvanceVirtualTime(2000);
-    EXPECT_EQ(c.stats().failovers, 1u);
+    EXPECT_EQ(MetricValue(c.metrics(), "pd2gl_cluster_failovers"), 1u);
     EXPECT_TRUE(c.ApplyBatch(MakeBatch(1, 60, 3000, 3.0)).ok());
     EXPECT_TRUE(c.FlushReplication().ok());
     std::vector<std::string> state;
@@ -404,9 +422,11 @@ TEST(FailoverTest, KillPrimaryMidIngestIsDeterministicAcrossSeeds) {
         state.push_back(ReplicaBytes(c, s, r));
       }
     }
-    const ReplicationStats rs = c.replication_stats();
-    return std::make_tuple(state, rs.bytes_shipped, rs.dropped_messages,
-                           c.stats().failover_replayed);
+    const obs::RegistrySnapshot rs = c.metrics().Snapshot();
+    return std::make_tuple(
+        state, MetricValue(rs, "pd2gl_replication_bytes_shipped"),
+        MetricValue(rs, "pd2gl_replication_dropped_messages"),
+        MetricValue(rs, "pd2gl_cluster_failover_replayed"));
   };
   for (const std::uint64_t seed : {3ull, 17ull, 4242ull}) {
     const auto a = run(seed);
@@ -435,8 +455,9 @@ TEST(FailoverTest, FaultFreeReplicatedRunMatchesReplicationDisabledRun) {
   for (std::size_t s = 0; s < plain.num_shards(); ++s) {
     EXPECT_EQ(PrimaryBytes(plain, s), PrimaryBytes(replicated, s));
   }
-  EXPECT_EQ(replicated.stats().failovers, 0u);
-  EXPECT_EQ(replicated.stats().replica_read_seeds, 0u)
+  const obs::RegistrySnapshot snap = replicated.metrics().Snapshot();
+  EXPECT_EQ(MetricValue(snap, "pd2gl_cluster_failovers"), 0u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_cluster_replica_read_seeds"), 0u)
       << "fault-free: replicas must never be read";
 }
 
@@ -448,13 +469,13 @@ TEST(FailoverTest, NoPromotionWhileEveryReplicaIsUnreachable) {
   c.CrashShard(dead);
   c.AdvanceVirtualTime(500);
   c.AdvanceVirtualTime(5000);
-  EXPECT_EQ(c.stats().failovers, 0u)
+  EXPECT_EQ(MetricValue(c.metrics(), "pd2gl_cluster_failovers"), 0u)
       << "a partitioned replica must not be promoted";
   EXPECT_TRUE(c.shard(dead).crashed());
   // Heal: the next health tick promotes.
   for (std::size_t s = 0; s < c.num_shards(); ++s) c.HealReplica(s, 0);
   c.AdvanceVirtualTime(1);
-  EXPECT_EQ(c.stats().failovers, 1u);
+  EXPECT_EQ(MetricValue(c.metrics(), "pd2gl_cluster_failovers"), 1u);
   EXPECT_FALSE(c.shard(dead).crashed());
 }
 
@@ -480,7 +501,7 @@ TEST(AntiEntropyTest, RepairsInjectedDivergenceWithinOneRound) {
   EXPECT_GE(report.digest_mismatches, 1u);
   EXPECT_EQ(report.repaired_replicas, 1u);
   EXPECT_GT(report.repaired_edges, 0u);
-  EXPECT_GT(c.stats().antientropy_repairs, 0u);
+  EXPECT_GT(MetricValue(c.metrics(), "pd2gl_cluster_antientropy_repairs"), 0u);
   // One round later the fleet digests clean again.
   const auto verify = c.RunAntiEntropy();
   EXPECT_EQ(verify.digest_mismatches, 0u);
@@ -546,7 +567,7 @@ void RunChaosMatrix(std::uint64_t seed) {
   ASSERT_TRUE(c.ApplyBatch(MakeBatch(1, 60, 4000, 4.0)).ok());
   c.AdvanceVirtualTime(500);
   c.AdvanceVirtualTime(2000);
-  ASSERT_EQ(c.stats().failovers, 1u);
+  ASSERT_EQ(MetricValue(c.metrics(), "pd2gl_cluster_failovers"), 1u);
 
   ASSERT_TRUE(c.ApplyBatch(MakeBatch(1, 60, 5000, 5.0)).ok());
   ASSERT_TRUE(c.FlushReplication().ok());

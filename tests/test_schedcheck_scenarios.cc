@@ -39,6 +39,8 @@
 #include "serve/request_batcher.h"
 #include "storage/cuckoo_map.h"
 
+#include "metric_read.h"
+
 #ifndef PD2GL_SCHEDCHECK
 #error "test_schedcheck_scenarios.cc requires -DPD2GL_SCHEDCHECK (schedcheck preset)"
 #endif
@@ -50,6 +52,7 @@ using platod2gl::Edge;
 using platod2gl::EpochCoordinator;
 using platod2gl::IngestedUpdate;
 using platod2gl::IngestorConfig;
+using platod2gl::MetricValue;
 using platod2gl::SampleCache;
 using platod2gl::SampleCacheConfig;
 using platod2gl::SampleCacheStats;
@@ -176,7 +179,7 @@ TEST(SchedCheckEpoch, WritePreferenceNeverDeadlocksTwoReaders) {
 // ---------------------------------------------------------------------------
 
 struct IngestorState {
-  IngestorState() : ing(Config()) {}
+  IngestorState() : ing(Config(), &metrics) {}
   static IngestorConfig Config() {
     IngestorConfig c;
     c.num_shards = 1;
@@ -184,6 +187,7 @@ struct IngestorState {
     c.policy = platod2gl::BackpressurePolicy::kBlock;
     return c;
   }
+  platod2gl::obs::MetricRegistry metrics;
   UpdateIngestor ing;
   std::vector<IngestedUpdate> drained;
   Status st1 = Status::Ok();
@@ -201,7 +205,7 @@ void IngestorScenario(sched::Test& t) {
   t.AfterRun([s] {
     std::vector<IngestedUpdate> rest;
     s->ing.DrainAll(&rest);
-    const auto stats = s->ing.Stats();
+    const platod2gl::obs::RegistrySnapshot snap = s->metrics.Snapshot();
     const std::uint64_t offers_ok = (s->st1.ok() ? 1u : 0u) +
                                     (s->st2.ok() ? 1u : 0u);
     sched::Check(s->st1.ok() || s->st1.code() == StatusCode::kUnavailable,
@@ -210,14 +214,16 @@ void IngestorScenario(sched::Test& t) {
                  "second offer either lands or hits the close");
     sched::Check(!(s->st1.code() == StatusCode::kUnavailable && s->st2.ok()),
                  "closed_ is sticky: once an offer is refused, later ones are");
-    sched::Check(stats.accepted == offers_ok, "accepted matches ok offers");
-    sched::Check(stats.closed_rejects == 2 - offers_ok,
+    sched::Check(MetricValue(snap, "pd2gl_ingest_accepted") == offers_ok,
+                 "accepted matches ok offers");
+    sched::Check(MetricValue(snap, "pd2gl_ingest_closed_rejects") ==
+                     2 - offers_ok,
                  "every non-accepted offer is a counted close-reject");
     sched::Check(s->drained.size() + rest.size() == offers_ok,
                  "every accepted update is drained exactly once");
     sched::Check(s->ing.QueueDepth() == 0, "queue empty after final drain");
     const std::uint64_t want_wm = s->st2.ok() ? 6u : (s->st1.ok() ? 5u : 0u);
-    sched::Check(stats.watermark == want_wm,
+    sched::Check(s->ing.watermark() == want_wm,
                  "watermark is the newest accepted timestamp");
     // Per-edge FIFO: the shard queue hands updates back in offer order.
     std::uint64_t last_ts = 0;
@@ -558,7 +564,7 @@ TEST(SchedCheckReplication, PromotionVsEpochBarrierUnderRandomWalk) {
 // ---------------------------------------------------------------------------
 
 struct AdmissionState {
-  AdmissionState() : ac(Config()) {
+  AdmissionState() : ac(Config(), &metrics) {
     // Fill the 1-slot window before any scenario thread runs, so the
     // submitter below finds it full in schedules where it goes first.
     verdict0 = ac.TryAdmit(/*tenant=*/0);
@@ -570,6 +576,7 @@ struct AdmissionState {
     c.policy = platod2gl::serve::AdmissionPolicy::kBlock;
     return c;
   }
+  platod2gl::obs::MetricRegistry metrics;
   platod2gl::serve::AdmissionController ac;
   platod2gl::serve::AdmissionController::Verdict verdict0;
   platod2gl::serve::AdmissionController::Verdict verdict =
@@ -588,18 +595,20 @@ void AdmissionWindowScenario(sched::Test& t) {
     sched::Check(s->verdict == Verdict::kAdmitted ||
                      s->verdict == Verdict::kClosed,
                  "a blocking admit either lands or observes the close");
-    const auto stats = s->ac.Stats();
+    const platod2gl::obs::RegistrySnapshot snap = s->metrics.Snapshot();
     const std::uint64_t admitted =
         1 + (s->verdict == Verdict::kAdmitted ? 1u : 0u);
-    sched::Check(stats.admitted == admitted, "admissions counted exactly");
-    sched::Check(stats.closed_rejects ==
+    sched::Check(MetricValue(snap, "pd2gl_admission_admitted") == admitted,
+                 "admissions counted exactly");
+    sched::Check(MetricValue(snap, "pd2gl_admission_closed_rejects") ==
                      (s->verdict == Verdict::kClosed ? 1u : 0u),
                  "a closed verdict is a counted close-reject");
     // One Release for the pre-filled slot: whatever the submitter won is
     // still in flight.
     sched::Check(s->ac.in_flight() == admitted - 1,
                  "window occupancy balances admissions minus releases");
-    sched::Check(stats.blocked_waits <= 1, "the submitter parks at most once");
+    sched::Check(MetricValue(snap, "pd2gl_admission_blocked_waits") <= 1,
+                 "the submitter parks at most once");
     sched::Check(s->ac.closed(), "close is sticky");
     sched::Check(s->ac.TryAdmit(2) == Verdict::kClosed,
                  "new arrivals observe the close");
@@ -627,7 +636,7 @@ TEST(SchedCheckAdmission, WindowBooksBalanceUnderRandomWalk) {
 // ---------------------------------------------------------------------------
 
 struct BatcherState {
-  BatcherState() : b(Config()) {}
+  BatcherState() : b(Config(), &metrics) {}
   static platod2gl::serve::BatcherConfig Config() {
     platod2gl::serve::BatcherConfig c;
     c.max_batch = 4;
@@ -640,6 +649,7 @@ struct BatcherState {
     p.request.request_id = tenant;
     return p;
   }
+  platod2gl::obs::MetricRegistry metrics;
   platod2gl::serve::RequestBatcher b;
   Status st1 = Status::Ok();
   Status st2 = Status::Ok();
@@ -657,9 +667,11 @@ void BatcherCloseScenario(sched::Test& t) {
       sched::Check(st->ok() || st->code() == StatusCode::kUnavailable,
                    "enqueue either lands or observes the close");
     }
-    const auto stats = s->b.Stats();
-    sched::Check(stats.enqueued == accepted, "accepted enqueues counted");
-    sched::Check(stats.closed_rejects == 2 - accepted,
+    const platod2gl::obs::RegistrySnapshot snap = s->metrics.Snapshot();
+    sched::Check(MetricValue(snap, "pd2gl_batcher_enqueued") == accepted,
+                 "accepted enqueues counted");
+    sched::Check(MetricValue(snap, "pd2gl_batcher_closed_rejects") ==
+                     2 - accepted,
                  "every refused enqueue is a counted close-reject");
     // The no-stranding invariant: a drain recovers exactly what was
     // accepted, even though the batcher is closed.

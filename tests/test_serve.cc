@@ -18,6 +18,7 @@
 #include "serve/query_plan.h"
 #include "serve/request_batcher.h"
 #include "serve/server.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -198,7 +199,8 @@ TEST(ServeDeterminismTest, BatchedSampleIsBitIdenticalToSoloCalls) {
   server.Drain(/*now_us=*/0);
   std::vector<QueryResponse> responses = server.TakeCompleted();
   ASSERT_EQ(responses.size(), 8u);
-  EXPECT_EQ(server.Stats().batches, 1u) << "size trigger formed one batch";
+  EXPECT_EQ(MetricValue(server.metrics(), "pd2gl_serve_batches"), 1u)
+      << "size trigger formed one batch";
 
   for (const QueryResponse& resp : responses) {
     const QueryRequest& req = requests[resp.request_id];
@@ -322,11 +324,11 @@ TEST(AdmissionPolicyTest, RejectPolicyWindowAndQuota) {
   const Status window = server.Submit(MakeSampleRequest(2, 5, 5, {5}), 0);
   EXPECT_EQ(window.code(), StatusCode::kResourceExhausted);
 
-  const ServeStats stats = server.Stats();
-  EXPECT_EQ(stats.rejected, 2u);
-  EXPECT_EQ(stats.admission.quota_rejects, 1u);
-  EXPECT_EQ(stats.admission.window_rejects, 1u);
-  EXPECT_EQ(stats.admission.in_flight, 3u);
+  const obs::RegistrySnapshot snap = server.metrics().Snapshot();
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_rejected"), 2u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_admission_quota_rejects"), 1u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_admission_window_rejects"), 1u);
+  EXPECT_EQ(server.admission().in_flight(), 3u);
 
   // Slots free once the work retires; the same tenant is admitted again.
   server.Drain(0);
@@ -349,9 +351,9 @@ TEST(AdmissionPolicyTest, ShedOldestEvictsTheLongestWaiting) {
   // Window full; the new arrival sheds request 1 (the longest waiting).
   ASSERT_TRUE(server.Submit(MakeSampleRequest(1, 3, 3, {3}), 30).ok());
 
-  const ServeStats stats = server.Stats();
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.batcher.shed, 1u);
+  const obs::RegistrySnapshot snap = server.metrics().Snapshot();
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_shed"), 1u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_batcher_shed"), 1u);
 
   auto completed = server.TakeCompleted();
   ASSERT_EQ(completed.size(), 1u);
@@ -424,7 +426,7 @@ TEST(AdmissionPolicyTest, BlockPolicyWaitsForARetiredSlot) {
   });
   // Retiring request 1 (the virtual clock passes its completion) frees
   // the slot and wakes the submitter.
-  while (server.Stats().admission.blocked_waits == 0) {
+  while (MetricValue(server.metrics(), "pd2gl_admission_blocked_waits") == 0) {
     std::this_thread::yield();
   }
   server.Pump(/*now_us=*/10000000);
@@ -434,7 +436,7 @@ TEST(AdmissionPolicyTest, BlockPolicyWaitsForARetiredSlot) {
   server.Drain(20000000);
   const auto completed = server.TakeCompleted();
   ASSERT_EQ(completed.size(), 2u);
-  EXPECT_EQ(server.Stats().admission.blocked_waits, 1u);
+  EXPECT_EQ(MetricValue(server.metrics(), "pd2gl_admission_blocked_waits"), 1u);
 }
 
 TEST(AdmissionPolicyTest, CloseRefusesNewWorkButDrainsQueued) {
@@ -471,10 +473,10 @@ TEST(AdmissionPolicyTest, InvalidRequestsAreCountedNotAdmitted) {
   bad_plan.seeds = {1};
   EXPECT_EQ(server.Submit(bad_plan, 0).code(), StatusCode::kInvalidArgument);
 
-  const ServeStats stats = server.Stats();
-  EXPECT_EQ(stats.invalid, 2u);
-  EXPECT_EQ(stats.admission.in_flight, 0u);
-  EXPECT_EQ(stats.batcher.queued, 0u);
+  const obs::RegistrySnapshot snap = server.metrics().Snapshot();
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_invalid"), 2u);
+  EXPECT_EQ(server.admission().in_flight(), 0u);
+  EXPECT_EQ(server.batcher().Depth(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,11 +496,11 @@ TEST(RequestBatchingTest, CoalescedBatchSharesRpcRounds) {
         server.Submit(MakeSampleRequest(i % 4, i, i, {i, i + 50}), 0).ok());
   }
   server.Drain(0);
-  const ServeStats stats = server.Stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_requests, 16u);
+  const obs::RegistrySnapshot snap = server.metrics().Snapshot();
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_batches"), 1u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_batched_requests"), 16u);
   // One sample op each, all coalesced into ONE cluster round — not 16.
-  EXPECT_EQ(stats.rpc_rounds, 1u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_rpc_rounds"), 1u);
   EXPECT_EQ(server.TakeCompleted().size(), 16u);
 }
 
@@ -608,9 +610,9 @@ TEST(SloTrackingTest, WindowsIsolateAndFlagViolations) {
   EXPECT_GT(w2.p99_us, 500000.0);
   EXPECT_TRUE(w2.violated);
 
-  const ServeStats stats = server.Stats();
-  EXPECT_EQ(stats.slo_windows, 2u);
-  EXPECT_EQ(stats.slo_violations, 1u);
+  const obs::RegistrySnapshot snap = server.metrics().Snapshot();
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_slo_windows"), 2u);
+  EXPECT_EQ(MetricValue(snap, "pd2gl_serve_slo_violations"), 1u);
 
   // Per-tenant histograms saw their own tenants only.
   EXPECT_EQ(server.tenant_latency(0)->Count(), 4u);
@@ -632,11 +634,11 @@ TEST(SloTrackingTest, ShedRequestsStayOutOfLatencyHistograms) {
 
   ASSERT_TRUE(server.Submit(MakeSampleRequest(0, 1, 1, {1}), 0).ok());
   ASSERT_TRUE(server.Submit(MakeSampleRequest(1, 2, 2, {2}), 5).ok());
-  EXPECT_EQ(server.Stats().shed, 1u);
+  EXPECT_EQ(MetricValue(server.metrics(), "pd2gl_serve_shed"), 1u);
   server.Drain(100);
   EXPECT_EQ(server.latency().Count(), 1u)
       << "only the served request is an SLO sample";
-  EXPECT_EQ(server.Stats().completed, 2u);
+  EXPECT_EQ(MetricValue(server.metrics(), "pd2gl_serve_completed"), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -662,7 +664,7 @@ TEST(ServeDegradationTest, CrashedShardDegradesResponses) {
   const auto completed = server.TakeCompleted();
   ASSERT_EQ(completed.size(), 1u);
   EXPECT_EQ(completed[0].status, RequestStatus::kDegraded);
-  EXPECT_EQ(server.Stats().degraded, 1u);
+  EXPECT_EQ(MetricValue(server.metrics(), "pd2gl_serve_degraded"), 1u);
 }
 
 }  // namespace

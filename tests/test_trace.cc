@@ -17,6 +17,7 @@
 #include "pipeline/epoch_coordinator.h"
 #include "serve/query_plan.h"
 #include "serve/server.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -222,7 +223,7 @@ TEST(TraceServeTest, BatchedAndSoloEmitIdenticalSpanTrees) {
     ASSERT_TRUE(batched.Submit(req, /*now_us=*/0).ok());
   }
   batched.Drain(0);
-  ASSERT_EQ(batched.Stats().batches, 1u);
+  ASSERT_EQ(MetricValue(batched.metrics(), "pd2gl_serve_batches"), 1u);
 
   for (const QueryRequest& req : requests) {
     ASSERT_TRUE(solo.Submit(req, /*now_us=*/0).ok());
@@ -334,7 +335,7 @@ TEST(TraceServeTest, ShedRequestStillClosesEverySpan) {
 
   ASSERT_TRUE(server.Submit(MakeDeepRequest(0, 1, 1, {1}), 0).ok());
   ASSERT_TRUE(server.Submit(MakeDeepRequest(1, 2, 2, {2}), 5).ok());
-  ASSERT_EQ(server.Stats().shed, 1u);
+  ASSERT_EQ(MetricValue(server.metrics(), "pd2gl_serve_shed"), 1u);
 
   // The victim's trace is published at shed time, before any drain.
   const std::uint64_t shed_id = DeriveTraceId(0, 1, 1);

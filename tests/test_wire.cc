@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "dist/cluster.h"
+#include "metric_read.h"
 
 namespace platod2gl {
 namespace {
@@ -119,12 +120,15 @@ TEST(WireTest, ClusterByteAccountingMatchesCodec) {
   for (const auto& g : groups) {
     if (!g.empty()) expect_sent += wire::EncodeUpdateBatch(g).size();
   }
-  EXPECT_EQ(cluster.stats().bytes_sent, expect_sent);
+  EXPECT_EQ(MetricValue(cluster.metrics(), "pd2gl_cluster_bytes_sent"),
+            expect_sent);
 
   // Sampling responses ship the neighbour payload back.
-  const auto before = cluster.stats().bytes_received;
+  const std::uint64_t before =
+      MetricValue(cluster.metrics(), "pd2gl_cluster_bytes_received");
   cluster.SampleNeighbors({1, 2, 3}, 4, true, 9);
-  EXPECT_GT(cluster.stats().bytes_received, before + 3 * 4u);
+  EXPECT_GT(MetricValue(cluster.metrics(), "pd2gl_cluster_bytes_received"),
+            before + 3 * 4u);
 
   // A two-item round ships one SampleRequest and one SampleResponse per
   // (item, shard) group: the byte counters equal the codec's sizes summed
@@ -133,7 +137,7 @@ TEST(WireTest, ClusterByteAccountingMatchesCodec) {
   const std::vector<VertexId> b = {50, 3, 77};
   const std::vector<SampleWorkItem> work = {
       SampleWorkItem{&a, 2, true, 11, 0}, SampleWorkItem{&b, 3, false, 12, 0}};
-  const ClusterStats start = cluster.stats();
+  const obs::RegistrySnapshot start = cluster.metrics().Snapshot();
   const MultiSampleReport multi = cluster.SampleMany(work);
   std::uint64_t want_sent = 0;
   std::uint64_t want_received = 0;
@@ -159,8 +163,12 @@ TEST(WireTest, ClusterByteAccountingMatchesCodec) {
       want_received += wire::EncodeSampleResponse(resp).size();
     }
   }
-  EXPECT_EQ(cluster.stats().bytes_sent - start.bytes_sent, want_sent);
-  EXPECT_EQ(cluster.stats().bytes_received - start.bytes_received,
+  const obs::RegistrySnapshot end = cluster.metrics().Snapshot();
+  EXPECT_EQ(MetricValue(end, "pd2gl_cluster_bytes_sent") -
+                MetricValue(start, "pd2gl_cluster_bytes_sent"),
+            want_sent);
+  EXPECT_EQ(MetricValue(end, "pd2gl_cluster_bytes_received") -
+                MetricValue(start, "pd2gl_cluster_bytes_received"),
             want_received);
 }
 

@@ -275,24 +275,26 @@ bool ReplicationEchoDrill(const GraphStore& graph) {
   }
   (void)cluster.RunAntiEntropy();
 
-  const ReplicationStats rs = cluster.replication_stats();
-  const ClusterStats& cs = cluster.stats();
+  const obs::RegistrySnapshot snap = cluster.metrics().Snapshot();
+  const auto v = [&snap](const char* name) {
+    return static_cast<unsigned long long>(snap.Value(name));
+  };
   std::printf(
       "replication drill: %llu updates shipped in %llu appends "
       "(%llu bytes), %llu applied, %llu retransmits\n",
-      (unsigned long long)streamed, (unsigned long long)rs.append_messages,
-      (unsigned long long)rs.bytes_shipped,
-      (unsigned long long)rs.entries_applied,
-      (unsigned long long)(rs.rejected_appends + rs.duplicate_entries));
+      (unsigned long long)streamed, v("pd2gl_replication_append_messages"),
+      v("pd2gl_replication_bytes_shipped"),
+      v("pd2gl_replication_entries_applied"),
+      v("pd2gl_replication_rejected_appends") +
+          v("pd2gl_replication_duplicate_entries"));
+  const unsigned long long mismatches = v("pd2gl_cluster_digest_mismatches");
+  const unsigned long long repairs = v("pd2gl_cluster_antientropy_repairs");
+  const unsigned long long failovers = v("pd2gl_cluster_failovers");
   std::printf(
       "replication drill: digest rounds %llu, mismatches %llu, repairs "
       "%llu, failovers %llu\n",
-      (unsigned long long)cs.digest_rounds,
-      (unsigned long long)cs.digest_mismatches,
-      (unsigned long long)cs.antientropy_repairs,
-      (unsigned long long)cs.failovers);
-  if (cs.digest_mismatches != 0 || cs.antientropy_repairs != 0 ||
-      cs.failovers != 0) {
+      v("pd2gl_cluster_digest_rounds"), mismatches, repairs, failovers);
+  if (mismatches != 0 || repairs != 0 || failovers != 0) {
     std::fprintf(stderr,
                  "replication drill: DIVERGENCE (clean stream must "
                  "replicate with zero mismatches/repairs/failovers)\n");
@@ -370,12 +372,13 @@ int CmdStreamTrain(int argc, char** argv) {
   }
 
   ThreadPool pool(4);
-  UpdateIngestor ingestor(IngestorConfig{.policy = policy,
-                                         .num_relations = 1});
+  obs::MetricRegistry metrics;  // pd2gl_ingest_* and pd2gl_micro_batcher_*
+  UpdateIngestor ingestor(
+      IngestorConfig{.policy = policy, .num_relations = 1}, &metrics);
   EpochCoordinator epochs;
   TemporalEdgeLog log;
   MicroBatcher batcher(&graph, &pool, &ingestor, &epochs, &log,
-                       MicroBatcherConfig{});
+                       MicroBatcherConfig{}, &metrics);
   GraphSageModel model(GraphSageConfig{.in_dim = kFeatDim,
                                        .hidden_dim = 16,
                                        .num_classes = kClasses},
@@ -426,25 +429,29 @@ int CmdStreamTrain(int argc, char** argv) {
   driver.Drain();
   const double secs = timer.ElapsedSeconds();
 
-  const PipelineStats stats = driver.Stats();
+  const obs::RegistrySnapshot snap = metrics.Snapshot();
+  const auto v = [&snap](const char* name) {
+    return static_cast<unsigned long long>(snap.Value(name));
+  };
   std::printf("\n%zu producers x %zu updates, %zu training steps in "
               "%.2fs\n",
               producers, per_producer, steps, secs);
   std::printf("ingest: accepted %llu  rejected %llu  dropped %llu  "
               "(%.0f updates/s)\n",
-              (unsigned long long)stats.ingest.accepted,
-              (unsigned long long)stats.ingest.rejected,
-              (unsigned long long)stats.ingest.dropped,
-              static_cast<double>(stats.ingest.accepted) / secs);
+              v("pd2gl_ingest_accepted"), v("pd2gl_ingest_rejected"),
+              v("pd2gl_ingest_dropped"),
+              static_cast<double>(v("pd2gl_ingest_accepted")) / secs);
   std::printf("batcher: %llu micro-batches, %llu applied "
               "(%llu coalesced away), final staleness %llu\n",
-              (unsigned long long)stats.batcher.batches_applied,
-              (unsigned long long)stats.batcher.updates_applied,
-              (unsigned long long)stats.batcher.coalesced,
-              (unsigned long long)stats.staleness);
+              v("pd2gl_micro_batcher_batches_applied"),
+              v("pd2gl_micro_batcher_updates_applied"),
+              v("pd2gl_micro_batcher_coalesced"),
+              (unsigned long long)driver.Staleness());
+  // The batcher cuts late updates before they reach the log, so the
+  // rejections are its count, not log.rejected().
   std::printf("store: %zu edges   WAL: %zu entries (%llu rejected)\n",
               graph.NumEdges(), log.size(),
-              (unsigned long long)log.rejected());
+              v("pd2gl_micro_batcher_log_rejected"));
 
   std::string err;
   if (!graph.topology(0).CheckAllInvariants(&err)) {
@@ -533,11 +540,10 @@ DemoServe RunDemoWorkload(std::size_t requests, std::uint64_t seed) {
 }
 
 /// The whole-process registry page: serving + cluster (per-shard, cache,
-/// replication when enabled) + the profiling sites.
+/// replication when enabled).
 obs::RegistrySnapshot MergedSnapshot(const DemoServe& demo) {
   obs::RegistrySnapshot merged = demo.server->metrics().Snapshot();
   merged.MergeFrom(demo.cluster->metrics().Snapshot());
-  merged.MergeFrom(obs::ProfileSnapshot());
   return merged;
 }
 
@@ -717,7 +723,10 @@ int CmdServeBench(int argc, char** argv) {
   stop.store(true);
   ingest.join();
 
-  const serve::ServeStats stats = server.Stats();
+  const obs::RegistrySnapshot snap = server.metrics().Snapshot();
+  const auto v = [&snap](const char* name) {
+    return static_cast<unsigned long long>(snap.Value(name));
+  };
   const serve::SloReport slo = server.EndSloWindow();
   std::printf("serve-bench: %zu requests at %.0f rps (virtual), "
               "max_batch %zu, %.2fs wall\n",
@@ -728,19 +737,19 @@ int CmdServeBench(int argc, char** argv) {
               slo.violated ? "VIOLATED" : "ok");
   std::printf("admitted %llu  completed %llu  shed %llu  rejected %llu  "
               "invalid %llu\n",
-              (unsigned long long)stats.admission.admitted,
-              (unsigned long long)stats.completed,
-              (unsigned long long)stats.shed,
-              (unsigned long long)stats.rejected,
-              (unsigned long long)stats.invalid);
+              v("pd2gl_admission_admitted"), v("pd2gl_serve_completed"),
+              v("pd2gl_serve_shed"), v("pd2gl_serve_rejected"),
+              v("pd2gl_serve_invalid"));
+  const unsigned long long batches = v("pd2gl_serve_batches");
   std::printf("batches %llu (mean %.1f req)  rpc rounds %llu  "
               "virtual busy %.1fms\n",
-              (unsigned long long)stats.batches,
-              stats.batches ? static_cast<double>(stats.batched_requests) /
-                                  static_cast<double>(stats.batches)
-                            : 0.0,
-              (unsigned long long)stats.rpc_rounds,
-              static_cast<double>(stats.virtual_busy_us) / 1e3);
+              batches,
+              batches ? static_cast<double>(
+                            v("pd2gl_serve_batched_requests")) /
+                            static_cast<double>(batches)
+                      : 0.0,
+              v("pd2gl_serve_rpc_rounds"),
+              static_cast<double>(v("pd2gl_serve_virtual_busy_us")) / 1e3);
   std::printf("concurrent ingest: %llu updates (%.0f/s wall)\n",
               (unsigned long long)ingested.load(),
               secs > 0 ? static_cast<double>(ingested.load()) / secs : 0.0);
@@ -800,12 +809,12 @@ int CmdServeBench(int argc, char** argv) {
   }
 
   // Smoke gate: every submitted request must be accounted for.
-  const std::uint64_t accounted =
-      stats.completed + stats.rejected + stats.invalid;
-  if (accounted != stats.submitted) {
+  const unsigned long long accounted = v("pd2gl_serve_completed") +
+                                       v("pd2gl_serve_rejected") +
+                                       v("pd2gl_serve_invalid");
+  if (accounted != v("pd2gl_serve_submitted")) {
     std::fprintf(stderr, "FAIL: %llu submitted but %llu accounted\n",
-                 (unsigned long long)stats.submitted,
-                 (unsigned long long)accounted);
+                 v("pd2gl_serve_submitted"), accounted);
     return 1;
   }
   std::printf("request accounting: OK\n");

@@ -35,8 +35,8 @@ compiler nor clang-tidy enforces:
                     in src/ whose name reads as an event tally (hits,
                     rejects, rounds, ...). Monotone statistics belong in
                     obs::MetricRegistry counters (src/obs/metrics.h) so
-                    they are named, exportable, and covered by the shared
-                    StatsBinding fill loop; raw atomics are for STATE
+                    they are named, exportable, and read from one
+                    registry snapshot; raw atomics are for STATE
                     (watermarks, depths, closed flags, snapshots), which
                     the name list deliberately does not match.
 
