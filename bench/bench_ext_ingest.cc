@@ -19,6 +19,7 @@
 #include "common/timer.h"
 #include "gnn/model.h"
 #include "gnn/trainer.h"
+#include "obs/metrics.h"
 #include "pipeline/continuous_trainer.h"
 #include "pipeline/epoch_coordinator.h"
 #include "pipeline/micro_batcher.h"
@@ -66,13 +67,15 @@ RunResult RunPipeline(std::size_t producers, bool train) {
   GraphStore graph;
   SeedGraph(&graph);
   ThreadPool pool(4);
+  obs::MetricRegistry metrics;  // pd2gl_ingest_* and pd2gl_micro_batcher_*
   UpdateIngestor ingestor(IngestorConfig{.num_shards = 8,
                                          .shard_capacity = 8192,
-                                         .num_relations = 1});
+                                         .num_relations = 1},
+                          &metrics);
   EpochCoordinator epochs;
   TemporalEdgeLog log;
   MicroBatcher batcher(&graph, &pool, &ingestor, &epochs, &log,
-                       MicroBatcherConfig{.max_batch = 8192});
+                       MicroBatcherConfig{.max_batch = 8192}, &metrics);
 
   GraphSageModel model(
       GraphSageConfig{.in_dim = 8, .hidden_dim = 16, .num_classes = 4}, 3);
@@ -123,10 +126,10 @@ RunResult RunPipeline(std::size_t producers, bool train) {
   consumer.join();
   r.secs = timer.ElapsedSeconds();
 
-  const MicroBatcherStats stats = batcher.Stats();
-  r.applied = stats.updates_ingested;
-  r.batches = stats.batches_applied;
-  r.coalesced = stats.coalesced;
+  const obs::RegistrySnapshot snap = metrics.Snapshot();
+  r.applied = snap.Value("pd2gl_micro_batcher_updates_ingested");
+  r.batches = snap.Value("pd2gl_micro_batcher_batches_applied");
+  r.coalesced = snap.Value("pd2gl_micro_batcher_coalesced");
   return r;
 }
 

@@ -20,6 +20,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "storage/graph_store.h"
 
 using namespace platod2gl;
@@ -45,6 +46,31 @@ double TwoHopMillis(NeighborStore& store, const std::vector<VertexId>& seeds,
   return t.ElapsedMillis();
 }
 
+/// Sample-cache tallies over a measured window: the difference of two
+/// snapshots of the registry the cache is registered with.
+struct CacheWindow {
+  std::uint64_t hits = 0;
+  std::uint64_t lookups = 0;  ///< hits + stale hits + misses
+
+  double HitRate() const {
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(hits) /
+                              static_cast<double>(lookups);
+  }
+};
+
+CacheWindow CacheDelta(const obs::RegistrySnapshot& from,
+                       const obs::RegistrySnapshot& to) {
+  const auto delta = [&](const char* name) {
+    return to.Value(name) - from.Value(name);
+  };
+  CacheWindow w;
+  w.hits = delta("pd2gl_sample_cache_hits");
+  w.lookups = w.hits + delta("pd2gl_sample_cache_stale_hits") +
+              delta("pd2gl_sample_cache_misses");
+  return w;
+}
+
 /// The Zipf-skewed hot-vertex workload: one GraphStore, seed traffic
 /// drawn Zipf(1.0) over the degree-ranked sources, measured with the
 /// sampling cache bypassed (pure samtree descent) and consulted.
@@ -59,6 +85,8 @@ void RunZipfCacheMode(const Dataset& ds, JsonRecords* json) {
   for (const Edge& e : ds.edges) {
     graph.topology(e.type).AddEdgeUnchecked(e.src, e.dst, e.weight);
   }
+  obs::MetricRegistry registry;  // pd2gl_sample_cache_* of this store
+  graph.sample_cache()->RegisterWith(&registry, {});
 
   // Degree-ranked sources: Zipf rank 0 = highest degree, the realistic
   // "popular vertices are big" serving shape.
@@ -99,7 +127,6 @@ void RunZipfCacheMode(const Dataset& ds, JsonRecords* json) {
     // Cache on: one warm-up pass (admission wants admit_after_misses
     // touches), then the measured rounds.
     graph.sample_cache()->Clear();
-    graph.sample_cache()->ResetStats();
     Xoshiro256 rng_on(7);
     for (int w = 0; w < 2; ++w) {
       for (VertexId s : seeds) {
@@ -107,7 +134,7 @@ void RunZipfCacheMode(const Dataset& ds, JsonRecords* json) {
         graph.SampleNeighbors(s, fanout, weighted, rng_on, &out, 0);
       }
     }
-    graph.sample_cache()->ResetStats();
+    const obs::RegistrySnapshot on_start = registry.Snapshot();
     Timer t_on;
     for (int r = 0; r < rounds; ++r) {
       for (VertexId s : seeds) {
@@ -117,7 +144,7 @@ void RunZipfCacheMode(const Dataset& ds, JsonRecords* json) {
     }
     const double on_ms = t_on.ElapsedMillis();
 
-    const SampleCacheStats stats = graph.sample_cache()->Stats();
+    const CacheWindow stats = CacheDelta(on_start, registry.Snapshot());
     const double total_draws =
         static_cast<double>(batch) * rounds * static_cast<double>(fanout);
     const char* mode = weighted ? "weighted" : "uniform";
@@ -160,7 +187,7 @@ void RunZipfCacheMode(const Dataset& ds, JsonRecords* json) {
       out.clear();
       graph.SampleNeighbors(hot, fanout, /*weighted=*/true, rng, &out, 0);
     }
-    graph.sample_cache()->ResetStats();
+    const obs::RegistrySnapshot hit_start = registry.Snapshot();
     Timer t_hit;
     for (std::size_t i = 0; i < requests; ++i) {
       out.clear();
@@ -177,7 +204,7 @@ void RunZipfCacheMode(const Dataset& ds, JsonRecords* json) {
     }
     const double ref_ms = t_ref.ElapsedMillis();
 
-    const SampleCacheStats hs = graph.sample_cache()->Stats();
+    const CacheWindow hs = CacheDelta(hit_start, registry.Snapshot());
     const double draws = static_cast<double>(requests) *
                          static_cast<double>(fanout);
     std::printf("hit-path microbench: %.1f ns/draw cached vs %.1f ns/draw "

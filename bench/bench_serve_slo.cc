@@ -35,7 +35,6 @@ using serve::GraphServer;
 using serve::QueryRequest;
 using serve::QueryResponse;
 using serve::ServeConfig;
-using serve::ServeStats;
 
 namespace {
 

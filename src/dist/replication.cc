@@ -1,12 +1,12 @@
 #include "dist/replication.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <utility>
 
 #include "common/crc32.h"
+#include "io/bytes.h"
 #include "io/checkpoint.h"
 
 namespace platod2gl {
@@ -34,25 +34,6 @@ class ReplicaCpuMeter {
   obs::Counter* sink_;
   std::uint64_t start_ = 0;
 };
-
-struct FilePtr {
-  std::FILE* f = nullptr;
-  ~FilePtr() {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  FilePtr fp{std::fopen(path.c_str(), "rb")};
-  if (fp.f == nullptr) return false;
-  out->clear();
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), fp.f)) > 0) {
-    out->append(buf, n);
-  }
-  return std::ferror(fp.f) == 0;
-}
 
 /// Keyrange bucket of a source vertex: SplitMix64-mixed so contiguous id
 /// ranges spread across buckets (primary and replica agree by construction).
@@ -414,7 +395,7 @@ bool ReplicationManager::BootstrapReplica(std::size_t shard,
     // Crashed primary: its disk checkpoint is still authoritative for the
     // truncated prefix; log shipping covers the rest.
     covered = pri->checkpoint_seq();
-    if (!ReadFileToString(pri->checkpoint_path(), &image)) return false;
+    if (!ReadFile(pri->checkpoint_path(), &image).ok()) return false;
   } else {
     return false;  // nothing to bootstrap from yet
   }

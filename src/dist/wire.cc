@@ -1,6 +1,5 @@
 #include "dist/wire.h"
 
-#include <cstring>
 #include <utility>
 
 #include "temporal/edge_log.h"
@@ -8,84 +7,97 @@
 namespace platod2gl::wire {
 namespace {
 
-template <typename T>
-void Put(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+/// Consume the tag byte of an unversioned client RPC.
+bool GetTag(ByteReader& r, char tag) {
+  char got = 0;
+  return r.Get(&got) && got == tag;
 }
 
-template <typename T>
-bool Get(const std::string& in, std::size_t* pos, T* value) {
-  if (*pos + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
+/// Consume the tag and version bytes of a versioned message, accepting
+/// versions in [min_version, max_version]. kUnsupportedVersion is only
+/// reported once the tag matched — an unknown tag is plain malformed input.
+DecodeResult GetHeader(ByteReader& r, char tag, std::uint8_t min_version,
+                       std::uint8_t max_version, std::uint8_t* version) {
+  if (!GetTag(r, tag) || !r.Get(version)) return DecodeResult::kMalformed;
+  if (*version < min_version || *version > max_version) {
+    return DecodeResult::kUnsupportedVersion;
+  }
+  return DecodeResult::kOk;
 }
+
+DecodeResult GetRepHeader(ByteReader& r, char tag) {
+  std::uint8_t version = 0;
+  return GetHeader(r, tag, kReplicationWireVersion, kReplicationWireVersion,
+                   &version);
+}
+
+/// Every decoder requires full consumption: trailing bytes are damage.
+DecodeResult Finish(const ByteReader& r) {
+  return r.done() ? DecodeResult::kOk : DecodeResult::kMalformed;
+}
+
+// A RepLogAppend entry: seq u64 + update record.
+constexpr std::size_t kRepEntryBytes = 8 + kUpdateRecordBytes;
 
 }  // namespace
 
 std::string EncodeSampleRequest(const SampleRequest& req) {
   std::string out;
   out.reserve(SampleRequestBytes(req.seeds.size()));
-  out.push_back('S');
-  Put(&out, req.edge_type);
-  Put(&out, req.fanout);
-  Put(&out, static_cast<std::uint8_t>(req.weighted ? 1 : 0));
-  Put(&out, static_cast<std::uint32_t>(req.seeds.size()));
-  for (VertexId s : req.seeds) Put(&out, s);
+  ByteWriter w(&out);
+  w.Put('S');
+  w.Put(req.edge_type);
+  w.Put(req.fanout);
+  w.Put(static_cast<std::uint8_t>(req.weighted ? 1 : 0));
+  w.Put(static_cast<std::uint32_t>(req.seeds.size()));
+  w.PutArray(req.seeds);
   return out;
 }
 
 DecodeResult DecodeSampleRequest(const std::string& bytes,
                                  SampleRequest* req) {
-  std::size_t pos = 0;
-  if (bytes.empty() || bytes[pos++] != 'S') return DecodeResult::kMalformed;
+  ByteReader r(bytes);
   std::uint8_t weighted;
   std::uint32_t count;
-  if (!Get(bytes, &pos, &req->edge_type) || !Get(bytes, &pos, &req->fanout) ||
-      !Get(bytes, &pos, &weighted) || !Get(bytes, &pos, &count)) {
+  if (!GetTag(r, 'S') || !r.Get(&req->edge_type) || !r.Get(&req->fanout) ||
+      !r.Get(&weighted) || !r.Get(&count)) {
     return DecodeResult::kMalformed;
   }
   // Bounds-check the declared count against the actual tail BEFORE
   // allocating: a malformed count of ~4 billion must be rejected, not
   // turned into a 32 GB resize. The seed array is the whole remaining
   // payload, so the check is exact and also rejects trailing garbage.
-  if (bytes.size() - pos !=
-      static_cast<std::size_t>(count) * sizeof(VertexId)) {
+  if (!r.HoldsExactly(count, sizeof(VertexId)) ||
+      !r.GetArray(count, &req->seeds)) {
     return DecodeResult::kMalformed;
   }
   req->weighted = weighted != 0;
-  req->seeds.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!Get(bytes, &pos, &req->seeds[i])) return DecodeResult::kMalformed;
-  }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
 
 std::string EncodeSampleResponse(const NeighborBatch& batch) {
   std::string out;
-  out.push_back('R');
-  Put(&out, static_cast<std::uint32_t>(batch.NumSeeds()));
+  ByteWriter w(&out);
+  w.Put('R');
+  w.Put(static_cast<std::uint32_t>(batch.NumSeeds()));
   for (std::size_t i = 0; i + 1 < batch.offsets.size(); ++i) {
     const std::uint32_t len =
         static_cast<std::uint32_t>(batch.offsets[i + 1] - batch.offsets[i]);
-    Put(&out, len);
-    for (std::size_t j = batch.offsets[i]; j < batch.offsets[i + 1]; ++j) {
-      Put(&out, batch.neighbors[j]);
-    }
+    w.Put(len);
+    w.PutBytes(batch.neighbors.data() + batch.offsets[i],
+               sizeof(VertexId) * len);
   }
   return out;
 }
 
 DecodeResult DecodeSampleResponse(const std::string& bytes,
                                   NeighborBatch* batch) {
-  std::size_t pos = 0;
-  if (bytes.empty() || bytes[pos++] != 'R') return DecodeResult::kMalformed;
+  ByteReader r(bytes);
   std::uint32_t seeds;
-  if (!Get(bytes, &pos, &seeds)) return DecodeResult::kMalformed;
+  if (!GetTag(r, 'R') || !r.Get(&seeds)) return DecodeResult::kMalformed;
   // Each seed contributes at least a 4-byte length prefix: reject absurd
   // seed counts before reserving anything.
-  if (static_cast<std::size_t>(seeds) * sizeof(std::uint32_t) >
-      bytes.size() - pos) {
+  if (!r.CanHold(seeds, sizeof(std::uint32_t))) {
     return DecodeResult::kMalformed;
   }
   batch->neighbors.clear();
@@ -93,100 +105,61 @@ DecodeResult DecodeSampleResponse(const std::string& bytes,
   batch->offsets.reserve(static_cast<std::size_t>(seeds) + 1);
   for (std::uint32_t i = 0; i < seeds; ++i) {
     std::uint32_t len;
-    if (!Get(bytes, &pos, &len)) return DecodeResult::kMalformed;
     // Bounds-check the whole range before reading it: a bit-flipped
     // length prefix must never cause an over-read or an absurd reserve.
-    if (static_cast<std::size_t>(len) * sizeof(VertexId) >
-        bytes.size() - pos) {
+    if (!r.Get(&len) || !r.CanHold(len, sizeof(VertexId))) {
       return DecodeResult::kMalformed;
     }
-    for (std::uint32_t j = 0; j < len; ++j) {
-      VertexId v;
-      if (!Get(bytes, &pos, &v)) return DecodeResult::kMalformed;
-      batch->neighbors.push_back(v);
-    }
+    const std::size_t at = batch->neighbors.size();
+    batch->neighbors.resize(at + len);
+    r.GetBytes(batch->neighbors.data() + at, sizeof(VertexId) * len);
     batch->offsets.push_back(batch->neighbors.size());
   }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
 
 std::string EncodeUpdateBatch(const std::vector<EdgeUpdate>& batch) {
   std::string out;
   out.reserve(UpdateBatchBytes(batch.size()));
-  out.push_back('U');
-  Put(&out, static_cast<std::uint32_t>(batch.size()));
-  for (const EdgeUpdate& u : batch) {
-    Put(&out, static_cast<std::uint8_t>(u.kind));
-    Put(&out, u.edge.type);
-    Put(&out, u.edge.src);
-    Put(&out, u.edge.dst);
-    Put(&out, u.edge.weight);
-  }
+  ByteWriter w(&out);
+  w.Put('U');
+  w.Put(static_cast<std::uint32_t>(batch.size()));
+  for (const EdgeUpdate& u : batch) PutUpdateRecord(w, u);
   return out;
 }
 
 DecodeResult DecodeUpdateBatch(const std::string& bytes,
                                std::vector<EdgeUpdate>* batch) {
-  std::size_t pos = 0;
-  if (bytes.empty() || bytes[pos++] != 'U') return DecodeResult::kMalformed;
+  ByteReader r(bytes);
   std::uint32_t count;
-  if (!Get(bytes, &pos, &count)) return DecodeResult::kMalformed;
+  if (!GetTag(r, 'U') || !r.Get(&count)) return DecodeResult::kMalformed;
   // Updates are fixed-size records and the whole remaining payload:
   // exact arithmetic check before the reserve, so truncation, trailing
   // garbage and absurd counts are all rejected without allocating.
-  if (bytes.size() - pos !=
-      static_cast<std::size_t>(count) * kUpdateRecordBytes) {
+  if (!r.HoldsExactly(count, kUpdateRecordBytes)) {
     return DecodeResult::kMalformed;
   }
   batch->clear();
   batch->reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint8_t kind;
     EdgeUpdate u;
-    if (!Get(bytes, &pos, &kind) || !Get(bytes, &pos, &u.edge.type) ||
-        !Get(bytes, &pos, &u.edge.src) || !Get(bytes, &pos, &u.edge.dst) ||
-        !Get(bytes, &pos, &u.edge.weight) ||
-        kind > static_cast<std::uint8_t>(UpdateKind::kDelete)) {
-      return DecodeResult::kMalformed;
-    }
-    u.kind = static_cast<UpdateKind>(kind);
+    if (!GetUpdateRecord(r, &u)) return DecodeResult::kMalformed;
     batch->push_back(u);
   }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
-
-namespace {
-
-/// Shared header check for the versioned replication messages: consumes
-/// the tag and version byte. kUnsupportedVersion is only reported once the
-/// tag matched — an unknown tag is plain malformed input.
-DecodeResult GetRepHeader(const std::string& bytes, char tag,
-                          std::size_t* pos) {
-  if (bytes.size() < 2 || bytes[0] != tag) return DecodeResult::kMalformed;
-  const auto version = static_cast<std::uint8_t>(bytes[1]);
-  if (version != kReplicationWireVersion) {
-    return DecodeResult::kUnsupportedVersion;
-  }
-  *pos = 2;
-  return DecodeResult::kOk;
-}
-
-}  // namespace
 
 std::string EncodeRepLogAppend(const RepLogAppend& msg, std::uint8_t version) {
   std::string out;
-  out.reserve(10 + msg.entries.size() * 37);
-  out.push_back('L');
-  Put(&out, version);
-  Put(&out, msg.shard);
-  Put(&out, static_cast<std::uint32_t>(msg.entries.size()));
+  out.reserve(10 + msg.entries.size() * kRepEntryBytes);
+  ByteWriter w(&out);
+  w.Put('L');
+  w.Put(version);
+  w.Put(msg.shard);
+  w.Put(static_cast<std::uint32_t>(msg.entries.size()));
   for (const RepLogEntry& e : msg.entries) {
-    Put(&out, e.seq);
-    Put(&out, static_cast<std::uint8_t>(e.update.kind));
-    Put(&out, e.update.edge.type);
-    Put(&out, e.update.edge.src);
-    Put(&out, e.update.edge.dst);
-    Put(&out, e.update.edge.weight);
+    w.Put(e.seq);
+    PutUpdateRecord(w, e.update);
   }
   return out;
 }
@@ -197,259 +170,211 @@ std::string EncodeRepLogAppendWindow(std::uint32_t shard,
                                      std::size_t count,
                                      std::uint8_t version) {
   std::string out;
-  out.reserve(10 + count * 37);
-  out.push_back('L');
-  Put(&out, version);
-  Put(&out, shard);
-  Put(&out, static_cast<std::uint32_t>(count));
+  out.reserve(10 + count * kRepEntryBytes);
+  ByteWriter w(&out);
+  w.Put('L');
+  w.Put(version);
+  w.Put(shard);
+  w.Put(static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
-    const EdgeUpdate& u = window[i].update;
-    Put(&out, first_seq + i);
-    Put(&out, static_cast<std::uint8_t>(u.kind));
-    Put(&out, u.edge.type);
-    Put(&out, u.edge.src);
-    Put(&out, u.edge.dst);
-    Put(&out, u.edge.weight);
+    w.Put(first_seq + i);
+    PutUpdateRecord(w, window[i].update);
   }
   return out;
 }
 
 DecodeResult DecodeRepLogAppend(const std::string& bytes, RepLogAppend* out) {
-  std::size_t pos = 0;
-  const DecodeResult head = GetRepHeader(bytes, 'L', &pos);
+  ByteReader r(bytes);
+  const DecodeResult head = GetRepHeader(r, 'L');
   if (head != DecodeResult::kOk) return head;
   std::uint32_t count;
-  if (!Get(bytes, &pos, &out->shard) || !Get(bytes, &pos, &count)) {
-    return DecodeResult::kMalformed;
-  }
+  if (!r.Get(&out->shard) || !r.Get(&count)) return DecodeResult::kMalformed;
   // Entries are fixed 37-byte records and the whole remaining payload:
   // exact arithmetic check before the reserve (same hardening discipline
   // as DecodeUpdateBatch — absurd counts must not drive an allocation).
-  if (bytes.size() - pos != static_cast<std::size_t>(count) * 37) {
-    return DecodeResult::kMalformed;
-  }
+  if (!r.HoldsExactly(count, kRepEntryBytes)) return DecodeResult::kMalformed;
   out->entries.clear();
   out->entries.reserve(count);
   std::uint64_t prev_seq = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     RepLogEntry e;
-    std::uint8_t kind;
-    if (!Get(bytes, &pos, &e.seq) || !Get(bytes, &pos, &kind) ||
-        !Get(bytes, &pos, &e.update.edge.type) ||
-        !Get(bytes, &pos, &e.update.edge.src) ||
-        !Get(bytes, &pos, &e.update.edge.dst) ||
-        !Get(bytes, &pos, &e.update.edge.weight)) {
-      return DecodeResult::kMalformed;
-    }
-    if (kind > static_cast<std::uint8_t>(UpdateKind::kDelete)) {
+    if (!r.Get(&e.seq) || !GetUpdateRecord(r, &e.update)) {
       return DecodeResult::kMalformed;
     }
     // Sequence numbers must be strictly increasing within a message — a
     // run that is not contiguous-sorted can never be a valid WAL window.
     if (i > 0 && e.seq != prev_seq + 1) return DecodeResult::kMalformed;
     prev_seq = e.seq;
-    e.update.kind = static_cast<UpdateKind>(kind);
     out->entries.push_back(e);
   }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
 
 std::string EncodeRepAck(const RepAck& msg, std::uint8_t version) {
   std::string out;
   out.reserve(18);
-  out.push_back('A');
-  Put(&out, version);
-  Put(&out, msg.shard);
-  Put(&out, msg.replica);
-  Put(&out, msg.applied_seq);
+  ByteWriter w(&out);
+  w.Put('A');
+  w.Put(version);
+  w.Put(msg.shard);
+  w.Put(msg.replica);
+  w.Put(msg.applied_seq);
   return out;
 }
 
 DecodeResult DecodeRepAck(const std::string& bytes, RepAck* out) {
-  std::size_t pos = 0;
-  const DecodeResult head = GetRepHeader(bytes, 'A', &pos);
+  ByteReader r(bytes);
+  const DecodeResult head = GetRepHeader(r, 'A');
   if (head != DecodeResult::kOk) return head;
-  if (!Get(bytes, &pos, &out->shard) || !Get(bytes, &pos, &out->replica) ||
-      !Get(bytes, &pos, &out->applied_seq)) {
+  if (!r.Get(&out->shard) || !r.Get(&out->replica) ||
+      !r.Get(&out->applied_seq)) {
     return DecodeResult::kMalformed;
   }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
 
 std::string EncodeRepDigest(const RepDigest& msg, std::uint8_t version) {
   std::string out;
   out.reserve(18 + msg.bucket_edges.size() * 12);
-  out.push_back('G');
-  Put(&out, version);
-  Put(&out, msg.shard);
-  Put(&out, msg.through_seq);
-  Put(&out, static_cast<std::uint32_t>(msg.bucket_edges.size()));
+  ByteWriter w(&out);
+  w.Put('G');
+  w.Put(version);
+  w.Put(msg.shard);
+  w.Put(msg.through_seq);
+  w.Put(static_cast<std::uint32_t>(msg.bucket_edges.size()));
   for (std::size_t i = 0; i < msg.bucket_edges.size(); ++i) {
-    Put(&out, msg.bucket_edges[i]);
-    Put(&out, msg.bucket_crcs[i]);
+    w.Put(msg.bucket_edges[i]);
+    w.Put(msg.bucket_crcs[i]);
   }
   return out;
 }
 
 DecodeResult DecodeRepDigest(const std::string& bytes, RepDigest* out) {
-  std::size_t pos = 0;
-  const DecodeResult head = GetRepHeader(bytes, 'G', &pos);
+  ByteReader r(bytes);
+  const DecodeResult head = GetRepHeader(r, 'G');
   if (head != DecodeResult::kOk) return head;
   std::uint32_t count;
-  if (!Get(bytes, &pos, &out->shard) || !Get(bytes, &pos, &out->through_seq) ||
-      !Get(bytes, &pos, &count)) {
+  if (!r.Get(&out->shard) || !r.Get(&out->through_seq) || !r.Get(&count)) {
     return DecodeResult::kMalformed;
   }
   // Buckets are fixed 12-byte records and the whole remaining payload.
-  if (bytes.size() - pos != static_cast<std::size_t>(count) * 12) {
-    return DecodeResult::kMalformed;
-  }
+  if (!r.HoldsExactly(count, 12)) return DecodeResult::kMalformed;
   out->bucket_edges.assign(count, 0);
   out->bucket_crcs.assign(count, 0);
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (!Get(bytes, &pos, &out->bucket_edges[i]) ||
-        !Get(bytes, &pos, &out->bucket_crcs[i])) {
-      return DecodeResult::kMalformed;
-    }
+    r.Get(&out->bucket_edges[i]);
+    r.Get(&out->bucket_crcs[i]);
   }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
 
 std::string EncodeRepSnapshot(const RepSnapshot& msg, std::uint8_t version) {
   std::string out;
   out.reserve(18 + msg.checkpoint.size());
-  out.push_back('B');
-  Put(&out, version);
-  Put(&out, msg.shard);
-  Put(&out, msg.covered_seq);
-  Put(&out, static_cast<std::uint32_t>(msg.checkpoint.size()));
-  out.append(msg.checkpoint);
+  ByteWriter w(&out);
+  w.Put('B');
+  w.Put(version);
+  w.Put(msg.shard);
+  w.Put(msg.covered_seq);
+  w.Put(static_cast<std::uint32_t>(msg.checkpoint.size()));
+  w.PutBytes(msg.checkpoint.data(), msg.checkpoint.size());
   return out;
 }
 
 DecodeResult DecodeRepSnapshot(const std::string& bytes, RepSnapshot* out) {
-  std::size_t pos = 0;
-  const DecodeResult head = GetRepHeader(bytes, 'B', &pos);
+  ByteReader r(bytes);
+  const DecodeResult head = GetRepHeader(r, 'B');
   if (head != DecodeResult::kOk) return head;
   std::uint32_t len;
-  if (!Get(bytes, &pos, &out->shard) || !Get(bytes, &pos, &out->covered_seq) ||
-      !Get(bytes, &pos, &len)) {
+  if (!r.Get(&out->shard) || !r.Get(&out->covered_seq) || !r.Get(&len)) {
     return DecodeResult::kMalformed;
   }
   // The checkpoint image is the whole remaining payload: exact check
   // before the copy. Its *contents* are verified separately by the
   // io/checkpoint CRC-32 footer on load.
-  if (bytes.size() - pos != static_cast<std::size_t>(len)) {
-    return DecodeResult::kMalformed;
-  }
-  out->checkpoint.assign(bytes, pos, len);
-  pos += len;
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  if (!r.HoldsExactly(len, 1)) return DecodeResult::kMalformed;
+  out->checkpoint.resize(len);
+  r.GetBytes(out->checkpoint.data(), len);
+  return Finish(r);
 }
-
-namespace {
-
-/// Shared header check for the versioned serving messages — same
-/// negotiation stance as GetRepHeader: kUnsupportedVersion only once the
-/// tag matched. Unlike the replication protocol, serving clients span a
-/// version RANGE (v1 predates the trace context): the accepted version is
-/// returned so the body decoder can skip the fields that version lacks.
-DecodeResult GetServeHeader(const std::string& bytes, char tag,
-                            std::size_t* pos, std::uint8_t* version) {
-  if (bytes.size() < 2 || bytes[0] != tag) return DecodeResult::kMalformed;
-  *version = static_cast<std::uint8_t>(bytes[1]);
-  if (*version < kMinServeWireVersion || *version > kServeWireVersion) {
-    return DecodeResult::kUnsupportedVersion;
-  }
-  *pos = 2;
-  return DecodeResult::kOk;
-}
-
-}  // namespace
 
 std::string EncodeQueryRequest(const serve::QueryRequest& req,
                                std::uint8_t version) {
   std::string out;
   out.reserve(43 + req.seeds.size() * sizeof(VertexId) +
               req.plan.ops.size() * 34);
-  out.push_back('Q');
-  Put(&out, version);
-  Put(&out, req.tenant);
-  Put(&out, req.request_id);
-  Put(&out, req.rng_seed);
+  ByteWriter w(&out);
+  w.Put('Q');
+  w.Put(version);
+  w.Put(req.tenant);
+  w.Put(req.request_id);
+  w.Put(req.rng_seed);
   if (version != 1) {
     // v2+: the propagated trace context rides between the RNG seed and
     // the seed array. Encoding at version 1 emits the exact legacy
     // layout, byte for byte.
-    Put(&out, req.trace.trace_id);
-    Put(&out, req.trace.parent_span);
-    Put(&out, req.trace.flags);
+    w.Put(req.trace.trace_id);
+    w.Put(req.trace.parent_span);
+    w.Put(req.trace.flags);
   }
-  Put(&out, static_cast<std::uint32_t>(req.seeds.size()));
-  for (VertexId s : req.seeds) Put(&out, s);
-  Put(&out, static_cast<std::uint32_t>(req.plan.ops.size()));
+  w.Put(static_cast<std::uint32_t>(req.seeds.size()));
+  w.PutArray(req.seeds);
+  w.Put(static_cast<std::uint32_t>(req.plan.ops.size()));
   for (const serve::PlanOp& op : req.plan.ops) {
-    Put(&out, static_cast<std::uint8_t>(op.kind));
-    Put(&out, op.input);
-    Put(&out, op.edge_type);
-    Put(&out, op.fanout);
-    Put(&out, static_cast<std::uint8_t>(op.weighted ? 1 : 0));
-    Put(&out, op.count);
-    Put(&out, op.range_lo);
-    Put(&out, op.range_hi);
+    w.Put(static_cast<std::uint8_t>(op.kind));
+    w.Put(op.input);
+    w.Put(op.edge_type);
+    w.Put(op.fanout);
+    w.Put(static_cast<std::uint8_t>(op.weighted ? 1 : 0));
+    w.Put(op.count);
+    w.Put(op.range_lo);
+    w.Put(op.range_hi);
   }
   return out;
 }
 
 DecodeResult DecodeQueryRequest(const std::string& bytes,
                                 serve::QueryRequest* out) {
-  std::size_t pos = 0;
+  // Serving clients span a version RANGE (v1 predates the trace context):
+  // the accepted version tells the body decoder which fields to expect.
+  ByteReader r(bytes);
   std::uint8_t version = 0;
-  const DecodeResult head = GetServeHeader(bytes, 'Q', &pos, &version);
+  const DecodeResult head = GetHeader(r, 'Q', kMinServeWireVersion,
+                                      kServeWireVersion, &version);
   if (head != DecodeResult::kOk) return head;
-  if (!Get(bytes, &pos, &out->tenant) || !Get(bytes, &pos, &out->request_id) ||
-      !Get(bytes, &pos, &out->rng_seed)) {
+  if (!r.Get(&out->tenant) || !r.Get(&out->request_id) ||
+      !r.Get(&out->rng_seed)) {
     return DecodeResult::kMalformed;
   }
   out->trace = obs::TraceContext{};
   if (version != 1) {
-    if (!Get(bytes, &pos, &out->trace.trace_id) ||
-        !Get(bytes, &pos, &out->trace.parent_span) ||
-        !Get(bytes, &pos, &out->trace.flags)) {
+    if (!r.Get(&out->trace.trace_id) || !r.Get(&out->trace.parent_span) ||
+        !r.Get(&out->trace.flags)) {
       return DecodeResult::kMalformed;
     }
   }
+  // The seed array cannot exceed the remaining payload: GetArray
+  // bounds-checks the declared count BEFORE allocating (absurd counts
+  // must not drive a resize).
   std::uint32_t seed_count;
-  if (!Get(bytes, &pos, &seed_count)) return DecodeResult::kMalformed;
-  // The seed array cannot exceed the remaining payload: bounds-check the
-  // declared count BEFORE allocating (absurd counts must not drive a
-  // resize).
-  if (static_cast<std::size_t>(seed_count) * sizeof(VertexId) >
-      bytes.size() - pos) {
+  if (!r.Get(&seed_count) || !r.GetArray(seed_count, &out->seeds)) {
     return DecodeResult::kMalformed;
   }
-  out->seeds.resize(seed_count);
-  for (std::uint32_t i = 0; i < seed_count; ++i) {
-    if (!Get(bytes, &pos, &out->seeds[i])) return DecodeResult::kMalformed;
-  }
   std::uint32_t op_count;
-  if (!Get(bytes, &pos, &op_count)) return DecodeResult::kMalformed;
+  if (!r.Get(&op_count)) return DecodeResult::kMalformed;
   // Ops are fixed 34-byte records and the whole remaining payload: exact
   // arithmetic check before the reserve — this also rejects trailing
   // garbage.
-  if (bytes.size() - pos != static_cast<std::size_t>(op_count) * 34) {
-    return DecodeResult::kMalformed;
-  }
+  if (!r.HoldsExactly(op_count, 34)) return DecodeResult::kMalformed;
   out->plan.ops.clear();
   out->plan.ops.reserve(op_count);
   for (std::uint32_t i = 0; i < op_count; ++i) {
     serve::PlanOp op;
     std::uint8_t kind;
     std::uint8_t weighted;
-    if (!Get(bytes, &pos, &kind) || !Get(bytes, &pos, &op.input) ||
-        !Get(bytes, &pos, &op.edge_type) || !Get(bytes, &pos, &op.fanout) ||
-        !Get(bytes, &pos, &weighted) || !Get(bytes, &pos, &op.count) ||
-        !Get(bytes, &pos, &op.range_lo) || !Get(bytes, &pos, &op.range_hi)) {
+    if (!r.Get(&kind) || !r.Get(&op.input) || !r.Get(&op.edge_type) ||
+        !r.Get(&op.fanout) || !r.Get(&weighted) || !r.Get(&op.count) ||
+        !r.Get(&op.range_lo) || !r.Get(&op.range_hi)) {
       return DecodeResult::kMalformed;
     }
     if (kind > static_cast<std::uint8_t>(serve::OpKind::kGather) ||
@@ -460,49 +385,49 @@ DecodeResult DecodeQueryRequest(const std::string& bytes,
     op.weighted = weighted != 0;
     out->plan.ops.push_back(op);
   }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
 
 std::string EncodeQueryResponse(const serve::QueryResponse& resp,
                                 std::uint8_t version) {
   std::string out;
-  out.push_back('P');
-  Put(&out, version);
-  Put(&out, resp.tenant);
-  Put(&out, resp.request_id);
-  Put(&out, static_cast<std::uint8_t>(resp.status));
-  Put(&out, resp.epoch);
-  if (version != 1) Put(&out, resp.trace_id);
-  Put(&out, static_cast<std::uint32_t>(resp.stages.size()));
+  ByteWriter w(&out);
+  w.Put('P');
+  w.Put(version);
+  w.Put(resp.tenant);
+  w.Put(resp.request_id);
+  w.Put(static_cast<std::uint8_t>(resp.status));
+  w.Put(resp.epoch);
+  if (version != 1) w.Put(resp.trace_id);
+  w.Put(static_cast<std::uint32_t>(resp.stages.size()));
   for (const serve::StageOutput& stage : resp.stages) {
-    Put(&out, static_cast<std::uint32_t>(stage.ids.size()));
-    for (VertexId v : stage.ids) Put(&out, v);
-    Put(&out, static_cast<std::uint32_t>(stage.offsets.size()));
-    for (std::uint64_t o : stage.offsets) Put(&out, o);
-    Put(&out, stage.feature_dim);
-    Put(&out, static_cast<std::uint32_t>(stage.features.size()));
-    for (float f : stage.features) Put(&out, f);
+    w.Put(static_cast<std::uint32_t>(stage.ids.size()));
+    w.PutArray(stage.ids);
+    w.Put(static_cast<std::uint32_t>(stage.offsets.size()));
+    w.PutArray(stage.offsets);
+    w.Put(stage.feature_dim);
+    w.Put(static_cast<std::uint32_t>(stage.features.size()));
+    w.PutArray(stage.features);
   }
   return out;
 }
 
 DecodeResult DecodeQueryResponse(const std::string& bytes,
                                  serve::QueryResponse* out) {
-  std::size_t pos = 0;
+  ByteReader r(bytes);
   std::uint8_t version = 0;
-  const DecodeResult head = GetServeHeader(bytes, 'P', &pos, &version);
+  const DecodeResult head = GetHeader(r, 'P', kMinServeWireVersion,
+                                      kServeWireVersion, &version);
   if (head != DecodeResult::kOk) return head;
   std::uint8_t status;
   std::uint32_t stage_count;
-  if (!Get(bytes, &pos, &out->tenant) || !Get(bytes, &pos, &out->request_id) ||
-      !Get(bytes, &pos, &status) || !Get(bytes, &pos, &out->epoch)) {
+  if (!r.Get(&out->tenant) || !r.Get(&out->request_id) || !r.Get(&status) ||
+      !r.Get(&out->epoch)) {
     return DecodeResult::kMalformed;
   }
   out->trace_id = 0;
-  if (version != 1 && !Get(bytes, &pos, &out->trace_id)) {
-    return DecodeResult::kMalformed;
-  }
-  if (!Get(bytes, &pos, &stage_count)) return DecodeResult::kMalformed;
+  if (version != 1 && !r.Get(&out->trace_id)) return DecodeResult::kMalformed;
+  if (!r.Get(&stage_count)) return DecodeResult::kMalformed;
   if (status > static_cast<std::uint8_t>(serve::RequestStatus::kShed)) {
     return DecodeResult::kMalformed;
   }
@@ -510,34 +435,15 @@ DecodeResult DecodeQueryResponse(const std::string& bytes,
   out->latency_us = 0;  // server-side metadata, not carried on the wire
   // Each stage contributes at least its four length/dim prefixes: reject
   // absurd stage counts before reserving anything.
-  if (static_cast<std::size_t>(stage_count) * 16 > bytes.size() - pos) {
-    return DecodeResult::kMalformed;
-  }
+  if (!r.CanHold(stage_count, 16)) return DecodeResult::kMalformed;
   out->stages.clear();
   out->stages.reserve(stage_count);
   for (std::uint32_t i = 0; i < stage_count; ++i) {
     serve::StageOutput stage;
-    std::uint32_t ids_len;
-    if (!Get(bytes, &pos, &ids_len)) return DecodeResult::kMalformed;
-    if (static_cast<std::size_t>(ids_len) * sizeof(VertexId) >
-        bytes.size() - pos) {
+    std::uint32_t ids_len, off_len;
+    if (!r.Get(&ids_len) || !r.GetArray(ids_len, &stage.ids) ||
+        !r.Get(&off_len) || !r.GetArray(off_len, &stage.offsets)) {
       return DecodeResult::kMalformed;
-    }
-    stage.ids.resize(ids_len);
-    for (std::uint32_t j = 0; j < ids_len; ++j) {
-      if (!Get(bytes, &pos, &stage.ids[j])) return DecodeResult::kMalformed;
-    }
-    std::uint32_t off_len;
-    if (!Get(bytes, &pos, &off_len)) return DecodeResult::kMalformed;
-    if (static_cast<std::size_t>(off_len) * sizeof(std::uint64_t) >
-        bytes.size() - pos) {
-      return DecodeResult::kMalformed;
-    }
-    stage.offsets.resize(off_len);
-    for (std::uint32_t j = 0; j < off_len; ++j) {
-      if (!Get(bytes, &pos, &stage.offsets[j])) {
-        return DecodeResult::kMalformed;
-      }
     }
     // Structural invariants of the NeighborBatch layout: offsets (when
     // present) start at 0, never decrease, and cover exactly the id
@@ -555,12 +461,8 @@ DecodeResult DecodeQueryResponse(const std::string& bytes,
       }
     }
     std::uint32_t feat_len;
-    if (!Get(bytes, &pos, &stage.feature_dim) ||
-        !Get(bytes, &pos, &feat_len)) {
-      return DecodeResult::kMalformed;
-    }
-    if (static_cast<std::size_t>(feat_len) * sizeof(float) >
-        bytes.size() - pos) {
+    if (!r.Get(&stage.feature_dim) || !r.Get(&feat_len) ||
+        !r.GetArray(feat_len, &stage.features)) {
       return DecodeResult::kMalformed;
     }
     // Feature rows are dense [n x dim]: a row count that doesn't divide
@@ -570,42 +472,36 @@ DecodeResult DecodeQueryResponse(const std::string& bytes,
     } else if (feat_len % stage.feature_dim != 0) {
       return DecodeResult::kMalformed;
     }
-    stage.features.resize(feat_len);
-    for (std::uint32_t j = 0; j < feat_len; ++j) {
-      if (!Get(bytes, &pos, &stage.features[j])) {
-        return DecodeResult::kMalformed;
-      }
-    }
     out->stages.push_back(std::move(stage));
   }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
 
 std::string EncodeTraceContext(const obs::TraceContext& ctx,
                                std::uint8_t version) {
   std::string out;
   out.reserve(15);
-  out.push_back('T');
-  Put(&out, version);
-  Put(&out, ctx.trace_id);
-  Put(&out, ctx.parent_span);
-  Put(&out, ctx.flags);
+  ByteWriter w(&out);
+  w.Put('T');
+  w.Put(version);
+  w.Put(ctx.trace_id);
+  w.Put(ctx.parent_span);
+  w.Put(ctx.flags);
   return out;
 }
 
 DecodeResult DecodeTraceContext(const std::string& bytes,
                                 obs::TraceContext* out) {
-  std::size_t pos = 0;
-  if (bytes.size() < 2 || bytes[0] != 'T') return DecodeResult::kMalformed;
-  if (static_cast<std::uint8_t>(bytes[1]) != kTraceWireVersion) {
-    return DecodeResult::kUnsupportedVersion;
-  }
-  pos = 2;
-  if (!Get(bytes, &pos, &out->trace_id) ||
-      !Get(bytes, &pos, &out->parent_span) || !Get(bytes, &pos, &out->flags)) {
+  ByteReader r(bytes);
+  std::uint8_t version = 0;
+  const DecodeResult head =
+      GetHeader(r, 'T', kTraceWireVersion, kTraceWireVersion, &version);
+  if (head != DecodeResult::kOk) return head;
+  if (!r.Get(&out->trace_id) || !r.Get(&out->parent_span) ||
+      !r.Get(&out->flags)) {
     return DecodeResult::kMalformed;
   }
-  return pos == bytes.size() ? DecodeResult::kOk : DecodeResult::kMalformed;
+  return Finish(r);
 }
 
 }  // namespace platod2gl::wire

@@ -8,8 +8,9 @@
 //   SampleRequest:  tag 'S' | edge_type u32 | fanout u32 | weighted u8 |
 //                   count u32 | count x seed u64
 //   SampleResponse: tag 'R' | count u32 | count x (len u32, len x u64)
-//   UpdateBatch:    tag 'U' | count u32 | count x
-//                   (kind u8, type u32, src u64, dst u64, weight f64)
+//   UpdateBatch:    tag 'U' | count u32 | count x update record
+//                   (io/bytes.h: kind u8, type u32, src u64, dst u64,
+//                   weight f64 — the same 29 bytes as a WAL entry's)
 //
 // Replication messages (docs/replication.md) additionally carry a version
 // byte right after the tag — the primary/replica protocol is expected to
@@ -19,7 +20,7 @@
 // kUnimplemented instead of treating the peer's bytes as corruption.
 //
 //   RepLogAppend:   tag 'L' | ver u8 | shard u32 | count u32 | count x
-//                   (seq u64, kind u8, type u32, src u64, dst u64, w f64)
+//                   (seq u64, update record)
 //   RepAck:         tag 'A' | ver u8 | shard u32 | replica u32 |
 //                   applied_seq u64
 //   RepDigest:      tag 'G' | ver u8 | shard u32 | through_seq u64 |
@@ -29,6 +30,7 @@
 //
 // All integers little-endian (the deployment is homogeneous x86).
 //
+// Every codec here is written over io/bytes.h (ByteWriter / ByteReader).
 // Decoders are hardened against malformed input: every length/count
 // prefix is bounds-checked against the remaining payload BEFORE any
 // allocation or read, so truncated buffers, bit-flipped prefixes, absurd
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "io/bytes.h"
 #include "obs/trace.h"
 #include "sampling/neighbor_sampler.h"
 #include "serve/query_plan.h"
@@ -63,8 +66,8 @@ enum class DecodeResult : std::uint8_t {
 
 // Encoded sizes of the client RPC messages, from the layouts above. The
 // cluster charges these to its byte counters without encoding;
-// tests/test_wire.cc pins each against its encoder.
-constexpr std::size_t kUpdateRecordBytes = 29;
+// tests/test_wire.cc pins each against its encoder. The update record
+// (kUpdateRecordBytes) is io/bytes.h's, shared with the WAL.
 constexpr std::size_t SampleRequestBytes(std::size_t seeds) {
   return 14 + seeds * sizeof(VertexId);
 }

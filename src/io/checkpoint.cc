@@ -1,14 +1,13 @@
 #include "io/checkpoint.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <memory>
 #include <optional>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/crc32.h"
+#include "io/bytes.h"
 
 namespace platod2gl {
 namespace {
@@ -20,195 +19,46 @@ constexpr char kMagic[4] = {'P', 'D', '2', 'G'};
 // rejected with kDataLoss instead of building a silently wrong store).
 // v1 files are still loaded (no footer to check).
 constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kEdgeRecordBytes = 8 + 8 + 8;  // src, dst, weight
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
+/// Strip and verify the CRC-32 footer of a v2 image whose smallest
+/// structurally valid body is `min_size` bytes.
+Status VerifyFooter(std::string_view image, std::size_t min_size,
+                    std::string_view* body) {
+  if (image.size() < min_size + kCrcFooterBytes) {
+    return Status::DataLoss("checkpoint truncated");
   }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-/// Write-side wrapper keeping a running CRC-32 of every byte written
-/// through it; the footer itself is written raw at the end. Sinks either
-/// to a FILE* or, when `buf` is set, to an in-memory string (the
-/// snapshot-bootstrap shipping path) — both produce identical bytes.
-struct CrcWriter {
-  std::FILE* f = nullptr;
-  std::uint32_t crc = 0;
-  std::string* buf = nullptr;
-
-  bool Write(const void* p, std::size_t n) {
-    crc = Crc32(p, n, crc);
-    if (n == 0) return true;
-    if (buf != nullptr) {
-      buf->append(static_cast<const char*>(p), n);
-      return true;
-    }
-    return std::fwrite(p, 1, n, f) == n;
-  }
-  bool WriteFooter() {
-    const std::uint32_t value = crc;
-    if (buf != nullptr) {
-      buf->append(reinterpret_cast<const char*>(&value), sizeof(value));
-      return true;
-    }
-    return std::fwrite(&value, sizeof(value), 1, f) == 1;
-  }
-};
-
-template <typename T>
-bool WritePod(CrcWriter& w, const T& value) {
-  return w.Write(&value, sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::FILE* f, T* value) {
-  return std::fread(value, sizeof(T), 1, f) == 1;
-}
-
-/// Bytes between the current position and EOF (0 on error). Length
-/// prefixes are checked against this BEFORE allocating: v1 files carry no
-/// CRC footer, so a lying prefix in a 13-byte file must not be allowed to
-/// drive a multi-gigabyte vector reserve (fuzz-found hazard).
-long RemainingBytes(std::FILE* f) {
-  const long pos = std::ftell(f);
-  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return 0;
-  const long end = std::ftell(f);
-  if (std::fseek(f, pos, SEEK_SET) != 0) return 0;
-  return end >= pos ? end - pos : 0;
-}
-
-/// Verify the CRC-32 footer of an already-open file: checksum every byte
-/// except the trailing 4, compare, and rewind to the start on success.
-/// `min_size` guards the smallest structurally valid file.
-Status VerifyCrcFooter(std::FILE* f, const std::string& path,
-                       long min_size) {
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::Internal("seek failed: " + path);
-  }
-  const long size = std::ftell(f);
-  if (size < min_size + 4) {
-    return Status::DataLoss("checkpoint truncated: " + path);
-  }
-  if (std::fseek(f, 0, SEEK_SET) != 0) {
-    return Status::Internal("seek failed: " + path);
-  }
-  std::uint32_t crc = 0;
-  long remaining = size - 4;
-  char buf[4096];
-  while (remaining > 0) {
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<long>(remaining, static_cast<long>(sizeof(buf))));
-    if (std::fread(buf, 1, chunk, f) != chunk) {
-      return Status::Internal("read failed during checksum: " + path);
-    }
-    crc = Crc32(buf, chunk, crc);
-    remaining -= static_cast<long>(chunk);
-  }
-  std::uint32_t stored = 0;
-  if (!ReadPod(f, &stored)) {
-    return Status::DataLoss("checkpoint footer unreadable: " + path);
-  }
-  if (stored != crc) {
+  if (!StripCrcFooter(image, body)) {
     return Status::DataLoss(
-        "checkpoint checksum mismatch (corrupt or truncated): " + path);
-  }
-  if (std::fseek(f, 0, SEEK_SET) != 0) {
-    return Status::Internal("seek failed: " + path);
+        "checkpoint checksum mismatch (corrupt or truncated)");
   }
   return Status::Ok();
 }
 
-/// The shared serialisation body behind SaveGraph and SaveGraphToBytes:
-/// everything between opening the sink and closing it.
-Status SaveGraphInto(const GraphStore& graph, CrcWriter& w) {
-  if (!w.Write(kMagic, sizeof(kMagic)) || !WritePod(w, kVersion) ||
-      !WritePod(w, static_cast<std::uint32_t>(graph.num_relations()))) {
-    return Status::Internal("short write (header)");
-  }
-
-  for (std::size_t r = 0; r < graph.num_relations(); ++r) {
-    const TopologyStore& topo = graph.topology(static_cast<EdgeType>(r));
-    if (!WritePod(w, static_cast<std::uint64_t>(topo.NumEdges()))) {
-      return Status::Internal("short write (edge count)");
-    }
-    bool ok = true;
-    std::uint64_t written = 0;
-    topo.ForEachSource([&](VertexId src, const Samtree& tree) {
-      tree.ForEachNeighbor([&](VertexId dst, Weight weight) {
-        ok = ok && WritePod(w, src) && WritePod(w, dst) &&
-             WritePod(w, weight);
-        ++written;
-      });
-    });
-    if (!ok) return Status::Internal("short write (edges)");
-    if (written != topo.NumEdges()) {
-      return Status::Internal("edge count drifted during save");
-    }
-  }
-
-  // Attributes: collect IDs first (ForEach is not re-entrant with reads).
-  struct AttrRow {
-    VertexId id;
-    std::optional<std::int64_t> label;
-    std::vector<float> features;
-  };
-  std::vector<AttrRow> rows;
-  const AttributeStore& attrs = graph.attributes();
-  // AttributeStore has no generic iterator in its public face beyond
-  // counting, so serialise through a collected snapshot.
-  attrs.ForEachVertex([&](VertexId v, const std::vector<float>& feats,
-                          const std::optional<std::int64_t>& label) {
-    rows.push_back(AttrRow{v, label, feats});
-  });
-  if (!WritePod(w, static_cast<std::uint64_t>(rows.size()))) {
-    return Status::Internal("short write (attr count)");
-  }
-  for (const AttrRow& row : rows) {
-    const std::uint8_t has_label = row.label.has_value() ? 1 : 0;
-    if (!WritePod(w, row.id) || !WritePod(w, has_label)) {
-      return Status::Internal("short write (attr header)");
-    }
-    if (has_label && !WritePod(w, *row.label)) {
-      return Status::Internal("short write (label)");
-    }
-    const std::uint32_t len = static_cast<std::uint32_t>(row.features.size());
-    if (!WritePod(w, len)) return Status::Internal("short write");
-    if (len > 0 &&
-        !w.Write(row.features.data(), sizeof(float) * len)) {
-      return Status::Internal("short write (features)");
-    }
-  }
-  if (!w.WriteFooter()) return Status::Internal("short write (crc footer)");
-  return Status::Ok();
+/// Name the file a load failed on; the code is kept.
+Status WithPath(const std::string& path, Status s) {
+  return s.ok() ? s : Status(s.code(), path + ": " + s.message());
 }
 
-/// The shared parse body behind LoadGraph and LoadGraphFromBytes: `f` is
-/// positioned at the start; `path` only labels error messages.
-Status LoadGraphStream(std::FILE* f, const std::string& path,
-                       GraphStore* graph) {
+Status ParseGraph(std::string_view image, GraphStore* graph) {
+  ByteReader r(image);
   char magic[4];
   std::uint32_t version = 0, num_relations = 0;
-  if (std::fread(magic, sizeof(magic), 1, f) != 1 ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a PlatoD2GL checkpoint: " + path);
+  if (!r.Get(&magic) || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument("not a PlatoD2GL checkpoint");
   }
-  if (!ReadPod(f, &version) || version == 0 || version > kVersion) {
+  if (!r.Get(&version) || version == 0 || version > kVersion) {
     return Status::InvalidArgument("unsupported checkpoint version");
   }
   if (version >= 2) {
-    // Integrity first: verify the whole file against its footer BEFORE
-    // applying any record, then rewind and re-read the header.
-    Status s = VerifyCrcFooter(f, path, /*min_size=*/12);
+    // Integrity first: verify the whole image against its footer BEFORE
+    // applying any record, then parse the body past the header.
+    std::string_view body;
+    Status s = VerifyFooter(image, /*min_size=*/12, &body);
     if (!s.ok()) return s;
-    char skip_magic[4];
-    std::uint32_t skip_version;
-    if (std::fread(skip_magic, sizeof(skip_magic), 1, f) != 1 ||
-        !ReadPod(f, &skip_version)) {
-      return Status::Internal("reread failed: " + path);
-    }
+    r = ByteReader(body.substr(sizeof(kMagic) + sizeof(version)));
   }
-  if (!ReadPod(f, &num_relations)) {
+  if (!r.Get(&num_relations)) {
     return Status::InvalidArgument("truncated header");
   }
   if (num_relations > graph->num_relations()) {
@@ -219,12 +69,15 @@ Status LoadGraphStream(std::FILE* f, const std::string& path,
     return Status::InvalidArgument("target store is not empty");
   }
 
-  for (std::uint32_t r = 0; r < num_relations; ++r) {
+  for (std::uint32_t rel = 0; rel < num_relations; ++rel) {
     std::uint64_t count = 0;
-    if (!ReadPod(f, &count)) {
+    if (!r.Get(&count)) {
       return Status::InvalidArgument("truncated relation header");
     }
-    TopologyStore& topo = graph->topology(static_cast<EdgeType>(r));
+    if (!r.CanHold(count, kEdgeRecordBytes)) {
+      return Status::InvalidArgument("truncated edge records");
+    }
+    TopologyStore& topo = graph->topology(static_cast<EdgeType>(rel));
     // SaveGraph writes edges grouped by source, so whole neighbourhoods
     // arrive as runs and can be bulk-built bottom-up (O(n) per tree)
     // instead of inserted one by one. InstallTree merges gracefully if a
@@ -238,12 +91,11 @@ Status LoadGraphStream(std::FILE* f, const std::string& path,
       run.clear();
     };
     for (std::uint64_t i = 0; i < count; ++i) {
-      VertexId src, dst;
-      Weight weight;
-      if (!ReadPod(f, &src) || !ReadPod(f, &dst) ||
-          !ReadPod(f, &weight)) {
-        return Status::InvalidArgument("truncated edge records");
-      }
+      VertexId src = 0, dst = 0;
+      Weight weight = 0;
+      r.Get(&src);
+      r.Get(&dst);
+      r.Get(&weight);
       if (src != run_src) {
         flush();
         run_src = src;
@@ -254,34 +106,33 @@ Status LoadGraphStream(std::FILE* f, const std::string& path,
   }
 
   std::uint64_t attr_count = 0;
-  if (!ReadPod(f, &attr_count)) {
+  if (!r.Get(&attr_count)) {
     return Status::InvalidArgument("truncated attribute header");
   }
   for (std::uint64_t i = 0; i < attr_count; ++i) {
     VertexId id;
     std::uint8_t has_label;
-    if (!ReadPod(f, &id) || !ReadPod(f, &has_label)) {
+    if (!r.Get(&id) || !r.Get(&has_label)) {
       return Status::InvalidArgument("truncated attribute record");
     }
     if (has_label) {
-      std::int64_t label;
-      if (!ReadPod(f, &label)) {
+      std::int64_t label_value;
+      if (!r.Get(&label_value)) {
         return Status::InvalidArgument("truncated label");
       }
-      graph->attributes().SetLabel(id, label);
+      graph->attributes().SetLabel(id, label_value);
     }
     std::uint32_t len;
-    if (!ReadPod(f, &len)) {
+    if (!r.Get(&len)) {
       return Status::InvalidArgument("truncated feature length");
     }
     if (len > 0) {
-      if (static_cast<std::uint64_t>(RemainingBytes(f)) <
-          static_cast<std::uint64_t>(len) * sizeof(float)) {
+      // v1 files carry no footer, so GetArray's check of the length
+      // prefix against the bytes left BEFORE allocating is what stops a
+      // lying prefix (fuzz-found hazard).
+      std::vector<float> feats;
+      if (!r.GetArray(len, &feats)) {
         return Status::InvalidArgument("feature length exceeds file size");
-      }
-      std::vector<float> feats(len);
-      if (std::fread(feats.data(), sizeof(float), len, f) != len) {
-        return Status::InvalidArgument("truncated features");
       }
       graph->attributes().SetFeatures(id, std::move(feats));
     }
@@ -292,34 +143,79 @@ Status LoadGraphStream(std::FILE* f, const std::string& path,
 }  // namespace
 
 Status SaveGraph(const GraphStore& graph, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::Internal("cannot open " + path + " for writing");
-  CrcWriter w{f.get()};
-  return SaveGraphInto(graph, w);
+  std::string image;
+  if (Status s = SaveGraphToBytes(graph, &image); !s.ok()) return s;
+  if (Status s = WriteFile(path, image); !s.ok()) {
+    return Status::Internal(s.message());
+  }
+  return Status::Ok();
 }
 
 Status SaveGraphToBytes(const GraphStore& graph, std::string* out) {
   out->clear();
-  CrcWriter w;
-  w.buf = out;
-  return SaveGraphInto(graph, w);
+  ByteWriter w(out);
+  w.Put(kMagic);
+  w.Put(kVersion);
+  w.Put(static_cast<std::uint32_t>(graph.num_relations()));
+
+  for (std::size_t r = 0; r < graph.num_relations(); ++r) {
+    const TopologyStore& topo = graph.topology(static_cast<EdgeType>(r));
+    w.Put(static_cast<std::uint64_t>(topo.NumEdges()));
+    std::uint64_t written = 0;
+    topo.ForEachSource([&](VertexId src, const Samtree& tree) {
+      tree.ForEachNeighbor([&](VertexId dst, Weight weight) {
+        w.Put(src);
+        w.Put(dst);
+        w.Put(weight);
+        ++written;
+      });
+    });
+    if (written != topo.NumEdges()) {
+      return Status::Internal("edge count drifted during save");
+    }
+  }
+
+  // Attributes: collect IDs first (ForEach is not re-entrant with reads).
+  struct AttrRow {
+    VertexId id;
+    std::optional<std::int64_t> label;
+    std::vector<float> features;
+  };
+  std::vector<AttrRow> rows;
+  graph.attributes().ForEachVertex(
+      [&](VertexId v, const std::vector<float>& feats,
+          const std::optional<std::int64_t>& label) {
+        rows.push_back(AttrRow{v, label, feats});
+      });
+  w.Put(static_cast<std::uint64_t>(rows.size()));
+  for (const AttrRow& row : rows) {
+    const std::uint8_t has_label = row.label.has_value() ? 1 : 0;
+    w.Put(row.id);
+    w.Put(has_label);
+    if (has_label) w.Put(*row.label);
+    w.Put(static_cast<std::uint32_t>(row.features.size()));
+    w.PutArray(row.features);
+  }
+  AppendCrcFooter(out);
+  return Status::Ok();
 }
 
 Status LoadGraph(const std::string& path, GraphStore* graph) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::NotFound("cannot open " + path);
-  return LoadGraphStream(f.get(), path, graph);
+  std::string image;
+  if (Status s = ReadFile(path, &image); !s.ok()) return s;
+  return WithPath(path, ParseGraph(image, graph));
 }
 
 Status LoadGraphFromBytes(const std::string& bytes, GraphStore* graph) {
   if (bytes.empty()) {
     return Status::InvalidArgument("empty checkpoint image");
   }
-  // fmemopen (POSIX; the deployment is Linux) gives the stream parser —
-  // and its CRC-footer verification — a read-only view of the buffer.
-  FilePtr f(fmemopen(const_cast<char*>(bytes.data()), bytes.size(), "rb"));
-  if (!f) return Status::Internal("fmemopen failed");
-  return LoadGraphStream(f.get(), "<bytes>", graph);
+  return ParseGraph(bytes, graph);
+}
+
+bool IsGraphCheckpoint(std::string_view bytes) {
+  return bytes.substr(0, sizeof(kMagic)) ==
+         std::string_view(kMagic, sizeof(kMagic));
 }
 
 namespace {
@@ -330,90 +226,57 @@ constexpr char kModelMagic[4] = {'P', 'D', '2', 'M'};
 // appends a CRC-32 footer like graph checkpoints.
 constexpr std::uint32_t kModelV2Tag = 0xFFFFFFFEu;
 
-bool WriteTensor(CrcWriter& w, const Tensor& t) {
-  const std::uint32_t rows = static_cast<std::uint32_t>(t.rows());
-  const std::uint32_t cols = static_cast<std::uint32_t>(t.cols());
-  return WritePod(w, rows) && WritePod(w, cols) &&
-         (t.size() == 0 || w.Write(t.data(), sizeof(float) * t.size()));
+void PutTensor(ByteWriter& w, const Tensor& t) {
+  w.Put(static_cast<std::uint32_t>(t.rows()));
+  w.Put(static_cast<std::uint32_t>(t.cols()));
+  w.PutBytes(t.data(), sizeof(float) * t.size());
 }
 
-bool ReadTensorInto(std::FILE* f, Tensor* t) {
+bool GetTensorInto(ByteReader& r, Tensor* t) {
   std::uint32_t rows = 0, cols = 0;
-  if (!ReadPod(f, &rows) || !ReadPod(f, &cols)) return false;
+  if (!r.Get(&rows) || !r.Get(&cols)) return false;
   if (rows != t->rows() || cols != t->cols()) return false;
-  return t->size() == 0 ||
-         std::fread(t->data(), sizeof(float), t->size(), f) == t->size();
+  return r.GetBytes(t->data(), sizeof(float) * t->size());
 }
 
-bool WriteDense(CrcWriter& w, const Dense& d) {
-  const std::uint32_t blen = static_cast<std::uint32_t>(d.bias().size());
-  return WriteTensor(w, d.weights()) && WritePod(w, blen) &&
-         w.Write(d.bias().data(), sizeof(float) * blen);
+void PutDense(ByteWriter& w, const Dense& d) {
+  PutTensor(w, d.weights());
+  w.Put(static_cast<std::uint32_t>(d.bias().size()));
+  w.PutBytes(d.bias().data(), sizeof(float) * d.bias().size());
 }
 
-bool ReadDenseInto(std::FILE* f, Dense* d) {
-  if (!ReadTensorInto(f, &d->weights())) return false;
+bool GetDenseInto(ByteReader& r, Dense* d) {
+  if (!GetTensorInto(r, &d->weights())) return false;
   std::uint32_t blen = 0;
-  if (!ReadPod(f, &blen) || blen != d->bias().size()) return false;
-  return std::fread(d->bias().data(), sizeof(float), blen, f) == blen;
+  if (!r.Get(&blen) || blen != d->bias().size()) return false;
+  return r.GetBytes(d->bias().data(), sizeof(float) * blen);
 }
 
-}  // namespace
-
-Status SaveModel(const GraphSageModel& model, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::Internal("cannot open " + path + " for writing");
-  CrcWriter w{f.get()};
-
-  const GraphSageConfig& cfg = model.config();
-  const std::uint32_t dims[3] = {
-      static_cast<std::uint32_t>(cfg.in_dim),
-      static_cast<std::uint32_t>(cfg.hidden_dim),
-      static_cast<std::uint32_t>(cfg.num_classes)};
-  if (!w.Write(kModelMagic, sizeof(kModelMagic)) ||
-      !WritePod(w, kModelV2Tag) || !w.Write(dims, sizeof(dims))) {
-    return Status::Internal("short write (model header)");
-  }
-  const bool ok = WriteDense(w, model.sage1().self_fc()) &&
-                  WriteDense(w, model.sage1().neigh_fc()) &&
-                  WriteDense(w, model.sage2().self_fc()) &&
-                  WriteDense(w, model.sage2().neigh_fc()) &&
-                  WriteDense(w, model.classifier());
-  if (!ok) return Status::Internal("short write (model weights)");
-  if (!w.WriteFooter()) return Status::Internal("short write (crc footer)");
-  return Status::Ok();
-}
-
-Status LoadModel(const std::string& path, GraphSageModel* model) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::NotFound("cannot open " + path);
-
+Status ParseModel(std::string_view image, GraphSageModel* model) {
+  ByteReader r(image);
   char magic[4];
   std::uint32_t probe = 0;
-  if (std::fread(magic, sizeof(magic), 1, f.get()) != 1 ||
+  if (!r.Get(&magic) ||
       std::memcmp(magic, kModelMagic, sizeof(kModelMagic)) != 0) {
-    return Status::InvalidArgument("not a PlatoD2GL model: " + path);
+    return Status::InvalidArgument("not a PlatoD2GL model");
   }
-  if (!ReadPod(f.get(), &probe)) {
+  if (!r.Get(&probe)) {
     return Status::InvalidArgument("truncated model header");
   }
 
   std::uint32_t dims[3];
   if (probe == kModelV2Tag) {
-    Status s = VerifyCrcFooter(f.get(), path, /*min_size=*/20);
+    std::string_view body;
+    Status s = VerifyFooter(image, /*min_size=*/20, &body);
     if (!s.ok()) return s;
-    // Rewind past magic + tag, then read the real dims.
-    if (std::fseek(f.get(), sizeof(kModelMagic) + sizeof(kModelV2Tag),
-                   SEEK_SET) != 0) {
-      return Status::Internal("seek failed: " + path);
-    }
-    if (std::fread(dims, sizeof(dims), 1, f.get()) != 1) {
+    r = ByteReader(body.substr(sizeof(kModelMagic) + sizeof(kModelV2Tag)));
+    if (!r.Get(&dims)) {
       return Status::InvalidArgument("truncated model header");
     }
   } else {
     // v1 layout: the probe WAS in_dim.
     dims[0] = probe;
-    if (std::fread(&dims[1], sizeof(std::uint32_t), 2, f.get()) != 2) {
+    if (!r.Get(&dims[1]) || !r.Get(&dims[2])) {
       return Status::InvalidArgument("truncated model header");
     }
   }
@@ -423,13 +286,42 @@ Status LoadModel(const std::string& path, GraphSageModel* model) {
     return Status::InvalidArgument(
         "model architecture mismatch (checkpoint vs target)");
   }
-  const bool ok = ReadDenseInto(f.get(), &model->sage1().self_fc()) &&
-                  ReadDenseInto(f.get(), &model->sage1().neigh_fc()) &&
-                  ReadDenseInto(f.get(), &model->sage2().self_fc()) &&
-                  ReadDenseInto(f.get(), &model->sage2().neigh_fc()) &&
-                  ReadDenseInto(f.get(), &model->classifier());
+  const bool ok = GetDenseInto(r, &model->sage1().self_fc()) &&
+                  GetDenseInto(r, &model->sage1().neigh_fc()) &&
+                  GetDenseInto(r, &model->sage2().self_fc()) &&
+                  GetDenseInto(r, &model->sage2().neigh_fc()) &&
+                  GetDenseInto(r, &model->classifier());
   return ok ? Status::Ok()
             : Status::InvalidArgument("truncated or mismatched model data");
+}
+
+}  // namespace
+
+Status SaveModel(const GraphSageModel& model, const std::string& path) {
+  std::string image;
+  ByteWriter w(&image);
+  const GraphSageConfig& cfg = model.config();
+  w.Put(kModelMagic);
+  w.Put(kModelV2Tag);
+  w.Put(static_cast<std::uint32_t>(cfg.in_dim));
+  w.Put(static_cast<std::uint32_t>(cfg.hidden_dim));
+  w.Put(static_cast<std::uint32_t>(cfg.num_classes));
+  PutDense(w, model.sage1().self_fc());
+  PutDense(w, model.sage1().neigh_fc());
+  PutDense(w, model.sage2().self_fc());
+  PutDense(w, model.sage2().neigh_fc());
+  PutDense(w, model.classifier());
+  AppendCrcFooter(&image);
+  if (Status s = WriteFile(path, image); !s.ok()) {
+    return Status::Internal(s.message());
+  }
+  return Status::Ok();
+}
+
+Status LoadModel(const std::string& path, GraphSageModel* model) {
+  std::string image;
+  if (Status s = ReadFile(path, &image); !s.ok()) return s;
+  return WithPath(path, ParseModel(image, model));
 }
 
 }  // namespace platod2gl

@@ -1,8 +1,8 @@
-// Checkpointing: binary save/load of a GraphStore.
+// Checkpointing: binary save/load of a GraphStore and a GraphSageModel.
 //
 // The production deployment periodically checkpoints the dynamic graph so
 // graph servers can restart without replaying the full update history.
-// The format is a simple length-prefixed binary stream:
+// The format is a simple length-prefixed binary image (docs/file_formats.md):
 //
 //   magic "PD2G" | version u32 | num_relations u32
 //   per relation: edge_count u64 | edge_count x (src u64, dst u64, w f64)
@@ -10,18 +10,23 @@
 //                     feat_len u32, feat_len x f32
 //   crc32 u32 footer (v2+) over every preceding byte
 //
-// Loading streams edges through the duplicate-free bulk path
-// (AddEdgeUnchecked), so a checkpoint restore costs the same as a bulk
-// build. All failures are reported as Status, never exceptions.
+// Every save encodes the whole image in memory (io/bytes.h) and writes it
+// once, replacing the file atomically (tmp + rename), so a failed save
+// leaves the previous checkpoint loadable. Every load reads the whole
+// file and parses the image; SaveGraph writes edges grouped by source, so
+// the loader bulk-builds each source's samtree from its run of edges and
+// a restore costs the same as a bulk build. All failures are reported as
+// Status, never exceptions.
 //
-// Integrity: v2 files end in a CRC-32 footer that is verified over the
-// whole file BEFORE any record is applied, so truncated or bit-rotted
+// Integrity: v2 images end in a CRC-32 footer that is verified over the
+// whole image BEFORE any record is applied, so truncated or bit-rotted
 // checkpoints are rejected with kDataLoss instead of silently building a
 // wrong store (the shard-recovery path in dist/ depends on this). v1
 // files (no footer) still load for backward compatibility.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "gnn/model.h"
@@ -47,6 +52,9 @@ Status SaveGraphToBytes(const GraphStore& graph, std::string* out);
 /// LoadGraph from an in-memory buffer (CRC verified first, like the file
 /// path). The receive side of snapshot-bootstrap shipping.
 Status LoadGraphFromBytes(const std::string& bytes, GraphStore* graph);
+
+/// True when `bytes` starts with the graph-checkpoint magic (any version).
+bool IsGraphCheckpoint(std::string_view bytes);
 
 /// Serialise a trained GraphSAGE model (all weights and biases plus the
 /// architecture dimensions, which are validated on load).

@@ -7,7 +7,8 @@
 //
 //   magic "PD2W" | version u32 (1 | 2)
 //   count u64
-//   count x entry: ts u64 | kind u8 | type u32 | src u64 | dst u64 | w f64
+//   count x entry: ts u64 | update record (io/bytes.h: kind u8 | type u32 |
+//                  src u64 | dst u64 | w f64)
 //   crc32 u32 footer (v2 only) over every preceding byte
 //
 // Safety properties the loaders guarantee (and the fuzz harness in
@@ -22,9 +23,9 @@
 //  * trailing garbage after the declared payload is rejected.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -37,16 +38,16 @@ inline constexpr std::uint32_t kWalVersion = 2;
 
 /// Serialise `entries` into the on-disk byte form. `version` must be 1 or
 /// 2 (2 appends the CRC footer; 1 exists for back-compat tests).
-std::vector<unsigned char> EncodeWal(const std::vector<TimedUpdate>& entries,
-                                     std::uint32_t version = kWalVersion);
+std::string EncodeWal(const std::vector<TimedUpdate>& entries,
+                      std::uint32_t version = kWalVersion);
 
 /// Decode an in-memory WAL image into *out (cleared first). This is the
 /// pure function the fuzz harness drives; LoadWal is a thin file wrapper.
-Status DecodeWal(const unsigned char* data, std::size_t size,
-                 std::vector<TimedUpdate>* out);
+Status DecodeWal(std::string_view bytes, std::vector<TimedUpdate>* out);
 
-/// Write every entry of `log` to `path` (version 2, atomic content: the
-/// buffer is fully built, then written in one stream).
+/// Write every entry of `log` to `path` (version 2). The image is built
+/// in memory and replaces the file atomically (io/bytes.h WriteFile), so
+/// a failed save leaves the previous WAL file intact.
 Status SaveWal(const TemporalEdgeLog& log, const std::string& path);
 
 /// Read a WAL file and append its entries, in order, into *log. The log's

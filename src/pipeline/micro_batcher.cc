@@ -68,6 +68,7 @@ MicroBatcher::MicroBatcher(GraphStore* graph, ThreadPool* pool,
       metrics_->RegisterCounter("pd2gl_micro_batcher_log_rejected");
   counters_.invalid_dropped =
       metrics_->RegisterCounter("pd2gl_micro_batcher_invalid_dropped");
+  pending_gauge_ = metrics_->RegisterGauge("pd2gl_micro_batcher_pending");
 }
 
 std::size_t MicroBatcher::Coalesce(std::vector<EdgeUpdate>* batch) {
@@ -120,7 +121,7 @@ std::size_t MicroBatcher::PumpOnce(bool force) {
     const auto mid = pending_.begin() + static_cast<std::ptrdiff_t>(carried);
     std::sort(mid, pending_.end(), ByTimeThenSeq);
     std::inplace_merge(pending_.begin(), mid, pending_.end(), ByTimeThenSeq);
-    pending_size_.store(pending_.size(), std::memory_order_release);
+    pending_gauge_->Set(pending_.size());
   }
   if (pending_.empty() || (!force && pending_.size() < config_.min_batch)) {
     return 0;
@@ -141,7 +142,7 @@ std::size_t MicroBatcher::PumpOnce(bool force) {
   }
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(take));
-  pending_size_.store(pending_.size(), std::memory_order_release);
+  pending_gauge_->Set(pending_.size());
   if (scratch_.empty()) return take;
 
   // Durability first: WAL-append the raw batch. The batch is sorted, so
@@ -217,7 +218,7 @@ MicroBatcherStats MicroBatcher::Stats() const {
   s.log_rejected = counters_.log_rejected->Value();
   s.invalid_dropped = counters_.invalid_dropped->Value();
   s.applied_watermark = applied_watermark();
-  s.pending = pending_size_.load(std::memory_order_acquire);
+  s.pending = pending_gauge_->Value();
   return s;
 }
 

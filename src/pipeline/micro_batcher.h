@@ -120,10 +120,13 @@ class MicroBatcher {
   std::vector<IngestedUpdate> pending_;
   std::vector<TimedUpdate> scratch_;
 
-  // STATE snapshots (cross-thread watermark/depth reads); tallies live in
-  // the registry counters above.
+  // Drained-but-unapplied depth, republished after every drain and cut
+  // (pd2gl_micro_batcher_pending).
+  obs::Gauge* pending_gauge_ = nullptr;
+
+  // STATE snapshot (cross-thread watermark reads); tallies live in the
+  // registry counters above.
   std::atomic<std::uint64_t> applied_watermark_{0};
-  std::atomic<std::size_t> pending_size_{0};
 };
 
 }  // namespace platod2gl

@@ -69,6 +69,7 @@
 #include "serve/server.h"           // IWYU pragma: export
 
 #include "analytics/graph_metrics.h"  // IWYU pragma: export
+#include "io/bytes.h"              // IWYU pragma: export
 #include "io/checkpoint.h"         // IWYU pragma: export
 #include "io/edge_list_reader.h"   // IWYU pragma: export
 #include "temporal/edge_log.h"  // IWYU pragma: export

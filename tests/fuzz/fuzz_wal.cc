@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/wal.h"
@@ -29,13 +31,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   using namespace platod2gl;
   std::vector<TimedUpdate> entries;
-  const Status s = DecodeWal(data, size, &entries);
+  const Status s = DecodeWal(
+      std::string_view(reinterpret_cast<const char*>(data), size), &entries);
   if (!s.ok()) return 0;
   // A decoded entry consumed at least its wire width from the input.
   Require(entries.size() <= size / 37 + 1, "entry count exceeds input size");
-  const std::vector<unsigned char> enc = EncodeWal(entries);
+  const std::string enc = EncodeWal(entries);
   std::vector<TimedUpdate> again;
-  Require(DecodeWal(enc.data(), enc.size(), &again).ok(), "re-decode failed");
+  Require(DecodeWal(enc, &again).ok(), "re-decode failed");
   Require(again.size() == entries.size(), "round-trip entry count");
   for (std::size_t i = 0; i < again.size(); ++i) {
     Require(again[i].timestamp == entries[i].timestamp, "ts mismatch");

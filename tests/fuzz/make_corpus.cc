@@ -257,15 +257,9 @@ void MakeWalCorpus(const std::filesystem::path& dir) {
   entries.push_back({11, {UpdateKind::kInPlaceUpdate, Edge{1, 2, 2.0, 0}}});
   entries.push_back({12, {UpdateKind::kDelete, Edge{1, 2, 0.0, 0}}});
 
-  const auto v2 = platod2gl::EncodeWal(entries, 2);
-  WriteFile(dir / "wal_v2.bin",
-            std::string(v2.begin(), v2.end()));
-  const auto v1 = platod2gl::EncodeWal(entries, 1);
-  WriteFile(dir / "wal_v1.bin",
-            std::string(v1.begin(), v1.end()));
-  const auto empty = platod2gl::EncodeWal({}, 2);
-  WriteFile(dir / "wal_empty.bin",
-            std::string(empty.begin(), empty.end()));
+  WriteFile(dir / "wal_v2.bin", platod2gl::EncodeWal(entries, 2));
+  WriteFile(dir / "wal_v1.bin", platod2gl::EncodeWal(entries, 1));
+  WriteFile(dir / "wal_empty.bin", platod2gl::EncodeWal({}, 2));
 }
 
 }  // namespace

@@ -191,6 +191,27 @@ TEST_F(CheckpointTest, LoadsLegacyV1FilesWithoutFooter) {
   EXPECT_NEAR(*g.EdgeWeight(7, 12), 2.5, 1e-12);
 }
 
+TEST_F(CheckpointTest, FailedSaveKeepsPreviousCheckpoint) {
+  GraphStore original;
+  original.AddEdge({1, 2, 1.0, 0});
+  ASSERT_TRUE(SaveGraph(original, path_.string()).ok());
+
+  // Saves write <path>.tmp and rename it over <path>; a directory on the
+  // tmp path makes the save fail before the old file is touched.
+  const std::filesystem::path tmp = path_.string() + ".tmp";
+  std::filesystem::create_directory(tmp);
+  GraphStore replacement;
+  replacement.AddEdge({5, 6, 1.0, 0});
+  replacement.AddEdge({5, 7, 1.0, 0});
+  EXPECT_FALSE(SaveGraph(replacement, path_.string()).ok());
+  std::filesystem::remove(tmp);
+
+  GraphStore g;
+  ASSERT_TRUE(LoadGraph(path_.string(), &g).ok());
+  EXPECT_EQ(g.NumEdges(), 1u);
+  EXPECT_TRUE(g.HasEdge(1, 2));
+}
+
 TEST_F(CheckpointTest, RefusesNonEmptyTarget) {
   GraphStore original;
   original.AddEdge({1, 2, 1.0, 0});
@@ -255,6 +276,23 @@ TEST_F(CheckpointTest, ModelArchitectureMismatchRejected) {
       GraphSageConfig{.in_dim = 6, .hidden_dim = 8, .num_classes = 3}, 1);
   EXPECT_EQ(LoadModel(path_.string(), &narrow).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, FailedModelSaveKeepsPreviousFile) {
+  const GraphSageConfig cfg{.in_dim = 4, .hidden_dim = 4, .num_classes = 2};
+  GraphSageModel original(cfg, /*seed=*/1);
+  ASSERT_TRUE(SaveModel(original, path_.string()).ok());
+  const auto size = std::filesystem::file_size(path_);
+
+  const std::filesystem::path tmp = path_.string() + ".tmp";
+  std::filesystem::create_directory(tmp);
+  GraphSageModel other(cfg, /*seed=*/2);
+  EXPECT_FALSE(SaveModel(other, path_.string()).ok());
+  std::filesystem::remove(tmp);
+
+  EXPECT_EQ(std::filesystem::file_size(path_), size);
+  GraphSageModel restored(cfg, /*seed=*/3);
+  EXPECT_TRUE(LoadModel(path_.string(), &restored).ok());
 }
 
 TEST_F(CheckpointTest, ModelGarbageRejected) {

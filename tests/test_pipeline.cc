@@ -389,6 +389,25 @@ TEST(PipelineTest, MinBatchAccumulatesUntilThreshold) {
   EXPECT_EQ(p.graph.NumEdges(), 121u);
 }
 
+TEST(PipelineTest, PendingGaugeEqualsCarryOver) {
+  Pipeline p(IngestorConfig{},
+             MicroBatcherConfig{.max_batch = 64, .min_batch = 100});
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(p.ingestor.OfferInsert(i, {i, i + 1, 1.0, 0}).ok());
+  }
+  EXPECT_EQ(p.batcher.PumpOnce(), 0u);  // below min_batch: all carried
+  EXPECT_EQ(MetricValue(p.metrics, "pd2gl_micro_batcher_pending"), 50u);
+  EXPECT_EQ(p.batcher.Stats().pending, 50u);
+  for (std::uint64_t i = 50; i < 120; ++i) {
+    ASSERT_TRUE(p.ingestor.OfferInsert(i, {i, i + 1, 1.0, 0}).ok());
+  }
+  EXPECT_EQ(p.batcher.PumpOnce(), 64u);  // size trigger: 56 carried
+  EXPECT_EQ(MetricValue(p.metrics, "pd2gl_micro_batcher_pending"), 56u);
+  p.batcher.Flush();
+  EXPECT_EQ(MetricValue(p.metrics, "pd2gl_micro_batcher_pending"), 0u);
+  EXPECT_EQ(p.graph.NumEdges(), 120u);
+}
+
 // ---------------------------------------------------------------------------
 // Continuous training
 

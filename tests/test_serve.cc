@@ -35,7 +35,6 @@ using serve::QueryRequest;
 using serve::QueryResponse;
 using serve::RequestStatus;
 using serve::ServeConfig;
-using serve::ServeStats;
 using serve::SloReport;
 using serve::ValidateAndLower;
 

@@ -5,7 +5,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,7 +56,7 @@ TEST(WalCodecTest, RoundTripsV2) {
   const auto entries = SampleEntries();
   const auto bytes = EncodeWal(entries, 2);
   std::vector<TimedUpdate> decoded;
-  ASSERT_TRUE(DecodeWal(bytes.data(), bytes.size(), &decoded).ok());
+  ASSERT_TRUE(DecodeWal(bytes, &decoded).ok());
   ExpectSameEntries(entries, decoded);
 }
 
@@ -64,14 +66,14 @@ TEST(WalCodecTest, RoundTripsV1WithoutFooter) {
   const auto v2 = EncodeWal(entries, 2);
   EXPECT_EQ(v1.size() + 4, v2.size());  // footer is the only difference
   std::vector<TimedUpdate> decoded;
-  ASSERT_TRUE(DecodeWal(v1.data(), v1.size(), &decoded).ok());
+  ASSERT_TRUE(DecodeWal(v1, &decoded).ok());
   ExpectSameEntries(entries, decoded);
 }
 
 TEST(WalCodecTest, RoundTripsEmptyLog) {
   const auto bytes = EncodeWal({}, 2);
   std::vector<TimedUpdate> decoded{SampleEntries()};  // must be cleared
-  ASSERT_TRUE(DecodeWal(bytes.data(), bytes.size(), &decoded).ok());
+  ASSERT_TRUE(DecodeWal(bytes, &decoded).ok());
   EXPECT_TRUE(decoded.empty());
 }
 
@@ -81,15 +83,16 @@ TEST(WalCodecTest, RejectsBadMagicVersionAndTruncation) {
 
   auto bad_magic = good;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(DecodeWal(bad_magic.data(), bad_magic.size(), &out).ok());
+  EXPECT_FALSE(DecodeWal(bad_magic, &out).ok());
 
   auto bad_version = good;
   bad_version[4] = 9;
-  EXPECT_FALSE(DecodeWal(bad_version.data(), bad_version.size(), &out).ok());
+  EXPECT_FALSE(DecodeWal(bad_version, &out).ok());
 
   // Every truncation point must be rejected, never crash or misparse.
   for (std::size_t n = 0; n < good.size(); ++n) {
-    EXPECT_FALSE(DecodeWal(good.data(), n, &out).ok()) << "length " << n;
+    EXPECT_FALSE(DecodeWal(std::string_view(good).substr(0, n), &out).ok())
+        << "length " << n;
   }
 }
 
@@ -99,7 +102,7 @@ TEST(WalCodecTest, V2RejectsAnySingleBitFlip) {
   for (std::size_t i = 0; i < good.size(); ++i) {
     auto corrupt = good;
     corrupt[i] ^= 0x01;
-    const Status st = DecodeWal(corrupt.data(), corrupt.size(), &out);
+    const Status st = DecodeWal(corrupt, &out);
     EXPECT_FALSE(st.ok()) << "flip at byte " << i << " slipped through";
   }
 }
@@ -112,7 +115,7 @@ TEST(WalCodecTest, RejectsLyingCountWithoutAllocating) {
   const std::uint64_t lie = 1ull << 56;
   std::memcpy(bytes.data() + 8, &lie, sizeof(lie));
   std::vector<TimedUpdate> out;
-  EXPECT_FALSE(DecodeWal(bytes.data(), bytes.size(), &out).ok());
+  EXPECT_FALSE(DecodeWal(bytes, &out).ok());
 }
 
 TEST(WalCodecTest, RejectsTrailingGarbageAndBadKind) {
@@ -120,12 +123,12 @@ TEST(WalCodecTest, RejectsTrailingGarbageAndBadKind) {
   std::vector<TimedUpdate> out;
 
   auto padded = bytes;
-  padded.push_back(0xAB);
-  EXPECT_FALSE(DecodeWal(padded.data(), padded.size(), &out).ok());
+  padded.push_back(static_cast<char>(0xAB));
+  EXPECT_FALSE(DecodeWal(padded, &out).ok());
 
   auto bad_kind = bytes;
   bad_kind[16 + 8] = 0x7F;  // first entry's kind byte
-  EXPECT_FALSE(DecodeWal(bad_kind.data(), bad_kind.size(), &out).ok());
+  EXPECT_FALSE(DecodeWal(bad_kind, &out).ok());
 }
 
 class WalFileTest : public testing::Test {
@@ -175,6 +178,27 @@ TEST_F(WalFileTest, LoadRejectsFileOlderThanLogTailUntouched) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(log.size(), 1u) << "a rejected load must leave the log untouched";
   EXPECT_EQ(log.rejected(), 0u);
+}
+
+TEST_F(WalFileTest, FailedSaveKeepsPreviousFile) {
+  TemporalEdgeLog first;
+  ASSERT_TRUE(first.AppendInsert(5, Edge{1, 2, 1.0, 0}).ok());
+  ASSERT_TRUE(SaveWal(first, path_).ok());
+
+  // SaveWal writes <path>.tmp and renames it over <path>; a directory on
+  // the tmp path makes the save fail before the old file is touched.
+  const std::string tmp = path_ + ".tmp";
+  std::filesystem::create_directory(tmp);
+  TemporalEdgeLog second;
+  ASSERT_TRUE(second.AppendInsert(9, Edge{3, 4, 1.0, 0}).ok());
+  ASSERT_TRUE(second.AppendInsert(10, Edge{5, 6, 1.0, 0}).ok());
+  EXPECT_FALSE(SaveWal(second, path_).ok());
+  std::filesystem::remove(tmp);
+
+  TemporalEdgeLog restored;
+  ASSERT_TRUE(LoadWal(path_, &restored).ok());
+  EXPECT_EQ(restored.size(), 1u);
+  EXPECT_EQ(restored.MaxTimestamp(), 5u);
 }
 
 TEST_F(WalFileTest, LoadMissingFileFails) {

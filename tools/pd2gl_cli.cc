@@ -41,7 +41,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -78,21 +77,19 @@ GraphStoreConfig EightRelations() {
   return cfg;
 }
 
-bool LooksLikeCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  char magic[4] = {};
-  const bool got = std::fread(magic, sizeof(magic), 1, f) == 1;
-  std::fclose(f);
-  return got && std::memcmp(magic, "PD2G", 4) == 0;
-}
-
 /// Load a graph from either format; returns false on failure.
 bool LoadAnyGraph(const std::string& path, GraphStore* graph) {
-  Status s = LooksLikeCheckpoint(path) ? LoadGraph(path, graph)
-                                       : LoadEdgeList(path, graph);
+  std::string bytes;
+  Status s = ReadFile(path, &bytes);
   if (!s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return false;
+  }
+  s = IsGraphCheckpoint(bytes) ? LoadGraphFromBytes(bytes, graph)
+                               : LoadEdgeList(path, graph);
+  if (!s.ok()) {
+    std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
+                 s.ToString().c_str());
     return false;
   }
   return true;
@@ -388,9 +385,14 @@ int CmdStreamTrain(int argc, char** argv) {
                                 .fanout_hop2 = 5});
   ContinuousTrainer driver(&ingestor, &batcher, &epochs, &trainer);
 
-  // Producers: event time is a shared admission counter, so the merged
-  // stream is monotone and the WAL accepts everything.
-  std::atomic<std::uint64_t> clock{0};
+  // Producers: event time is a shared clock, stamped and offered under
+  // one mutex so the ingestor admits the merged stream in timestamp
+  // order. (Stamping outside the lock let t+1 be admitted and applied
+  // before t, and the MicroBatcher then cut t as late.)
+  struct EventClock {
+    Mutex mu;
+    std::uint64_t now GUARDED_BY(mu) = 0;
+  } clock;
   const std::size_t per_producer = steps * rate;
   std::vector<std::thread> feeds;
   feeds.reserve(producers);
@@ -398,7 +400,6 @@ int CmdStreamTrain(int argc, char** argv) {
     feeds.emplace_back([&, p] {
       Xoshiro256 rng(seed + 100 + p);
       for (std::size_t i = 0; i < per_producer; ++i) {
-        const std::uint64_t ts = 1 + clock.fetch_add(1);
         EdgeUpdate u;
         const std::uint64_t roll = rng.NextUint64(10);
         u.kind = roll < 6   ? UpdateKind::kInsert
@@ -406,7 +407,8 @@ int CmdStreamTrain(int argc, char** argv) {
                             : UpdateKind::kDelete;
         u.edge = {rng.NextUint64(kVertices), rng.NextUint64(kVertices),
                   1.0 + static_cast<double>(rng.NextUint64(100)), 0};
-        (void)ingestor.Offer(TimedUpdate{ts, u});  // reject/drop counted
+        MutexLock lock(clock.mu);
+        (void)ingestor.Offer(TimedUpdate{++clock.now, u});  // reject/drop counted
       }
     });
   }
@@ -453,6 +455,14 @@ int CmdStreamTrain(int argc, char** argv) {
               graph.NumEdges(), log.size(),
               v("pd2gl_micro_batcher_log_rejected"));
 
+  // Under kBlock nothing is refused, so every update must reach the WAL:
+  // a late cut is a lost update.
+  if (policy == BackpressurePolicy::kBlock &&
+      v("pd2gl_micro_batcher_log_rejected") > 0) {
+    std::fprintf(stderr, "LOST UPDATES: %llu cut as late under block\n",
+                 v("pd2gl_micro_batcher_log_rejected"));
+    return 1;
+  }
   std::string err;
   if (!graph.topology(0).CheckAllInvariants(&err)) {
     std::fprintf(stderr, "INVARIANT VIOLATION after stream: %s\n",
